@@ -12,7 +12,10 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -75,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("moments", help="moments file (JSON)")
     p.add_argument(
         "--pipeline",
-        choices=["line", "circle", "polydisk", "raybeam"],
+        choices=list(PIPELINES),
         default=None,
         help="which reconstruction pipeline to run",
     )
@@ -176,49 +179,6 @@ def _clamped_phase(values: np.ndarray, hi: float, report: dict) -> np.ndarray:
     return np.clip(values, 0.0, hi)
 
 
-def run_pipeline(cfg: dict, moments_path: str) -> int:
-    outdir = Path(cfg["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(moments_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        moments = moments_from_json(payload)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot parse moments file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    report: dict = {
-        "pipeline": cfg["pipeline"],
-        "provenance": _provenance(moments_path, cfg),
-    }
-    try:
-        if cfg["pipeline"] == "line":
-            if not isinstance(moments, PowerMoments):
-                raise TypeError("line pipeline expects power moments")
-            return _run_line(cfg, moments, outdir, report)
-        if cfg["pipeline"] == "circle":
-            if not isinstance(moments, TrigMoments):
-                raise TypeError("circle pipeline expects trigonometric moments")
-            return _run_circle(cfg, moments, outdir, report)
-        if cfg["pipeline"] == "polydisk":
-            if not isinstance(moments, MultiMoments):
-                raise TypeError("polydisk pipeline expects multivariate moments")
-            return _run_polydisk(cfg, moments, outdir, report)
-        if cfg["pipeline"] == "raybeam":
-            if not isinstance(moments, MultiMoments):
-                raise TypeError("raybeam pipeline expects multivariate moments")
-            return _run_raybeam(cfg, moments, outdir, report)
-        raise ValueError(f"unknown pipeline {cfg['pipeline']!r}")
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, PhaseRangeError):
-            print(f"error: {exc}", file=sys.stderr)
-            report["error"] = str(exc)
-            _write_report(outdir, report)
-            return EXIT_RANGE
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-
 def _phase_interval(cfg, conditioned: PowerMoments, source: PowerMoments):
     if cfg["phase_support"] is not None:
         lo, hi = cfg["phase_support"]
@@ -228,89 +188,99 @@ def _phase_interval(cfg, conditioned: PowerMoments, source: PowerMoments):
         # sits at the right endpoint (which pushes it right by its mass);
         # callers with edge atoms should pass half_line or a wider window.
         return source.support.bounds
-    return 0.0, support_cutoff(conditioned.values, span=cfg["span"])
+    # The window is symmetric about the phase's mean, clipped at 0: one
+    # that always starts at 0 leaves a phase far from the origin with most
+    # quadrature nodes where it vanishes, and the dual ascent stalls there.
+    c = conditioned.values
+    hi = support_cutoff(c, span=cfg["span"])
+    return max(0.0, 2 * float(c[1] / c[0]) - hi), hi
 
 
-def _run_line(cfg, a_mu: PowerMoments, outdir: Path, report: dict) -> int:
-    report["feasibility"] = hankel_feasibility(a_mu).value
+def _budget(cfg) -> dict:
+    """The solver's stopping rule and preconditioning offset."""
+    return {"tol": cfg["tol"], "max_sweeps": cfg["max_sweeps"], "delta": cfg["delta"]}
+
+
+def _solve_line(cfg, target: PowerMoments, source: PowerMoments, report: dict):
+    report["feasibility"] = hankel_feasibility(source).value
+    lo, hi = _phase_interval(cfg, target, source)
+    report["phase_interval"] = [lo, hi]
+    sol = solve_power_moments(
+        target.values, (lo, hi), node_count=cfg["nodes"], **_budget(cfg)
+    )
+    return sol, (lo, hi)
+
+
+def _solve_circle(cfg, target: TrigMoments, source: TrigMoments, report: dict):
+    nodes = max(cfg["grid"], 4 * target.order + 4)
+    sol = solve_trig_moments(target.values, node_count=nodes, **_budget(cfg))
+    return sol, (-np.pi, np.pi)
+
+
+@dataclass(frozen=True)
+class _Domain:
+    """What the line and circle pipelines do differently."""
+
+    condition: Callable
+    conditioned_json: Callable  # conditioned values -> JSON-ready list
+    solve: Callable  # (cfg, target, source, report) -> (solution, grid bounds)
+    grid_kind: str
+    phase_max: float
+    invert: Callable  # (phase, cfg, source) -> density
+    input_mass: Callable  # source -> total mass of the measure
+
+
+LINE = _Domain(
+    condition=condition_line,
+    conditioned_json=lambda values: values.tolist(),
+    solve=_solve_line,
+    grid_kind="interval",
+    phase_max=1.0,
+    invert=lambda phi, cfg, source: invert_line(phi, pad_factor=cfg["pad"]),
+    input_mass=lambda source: float(source.values[0]),
+)
+
+CIRCLE = _Domain(
+    condition=condition_circle,
+    conditioned_json=lambda values: [[float(v.real), float(v.imag)] for v in values],
+    solve=_solve_circle,
+    grid_kind="circle",
+    phase_max=np.pi,
+    invert=lambda phi, cfg, source: invert_circle(phi, float(source.values[0].real)),
+    input_mass=lambda source: 2 * np.pi * float(source.values[0].real),
+)
+
+
+def _run_phase(domain: _Domain, cfg, source, outdir: Path, report: dict) -> int:
+    """Condition, solve, invert and write one line or circle reconstruction."""
     if cfg["skip_condition"]:
         # classical route: treat the measure moments as directly matchable
-        target = a_mu
+        target = source
         report["conditioned_moments"] = None
     else:
-        target = condition_line(a_mu)
-        report["conditioned_moments"] = target.values.tolist()
-    lo, hi = _phase_interval(cfg, target, a_mu)
-    sol = solve_power_moments(
-        target.values,
-        (lo, hi),
-        node_count=cfg["nodes"],
-        tol=cfg["tol"],
-        max_sweeps=cfg["max_sweeps"],
-        delta=cfg["delta"],
-    )
-    report["solver"] = sol.report()
-    report["phase_interval"] = [lo, hi]
-    if not sol.converged:
-        _write_report(outdir, report)
-        print("maxent did not converge; see report.json", file=sys.stderr)
-        return EXIT_NOCONV
-
-    grid = GridFunction.on_interval(lo, hi, np.zeros(cfg["grid"]))
-    profile = density_on(sol, grid.grid)
-    if cfg["skip_condition"]:
-        density = grid.with_values(profile)
-    else:
-        phi = grid.with_values(_clamped_phase(profile, 1.0, report))
-        density = invert_line(phi, pad_factor=cfg["pad"])
-        write_csv(phi, outdir / "phase.csv")
-        report["outputs"] = {"density_csv": "density.csv", "phase_csv": "phase.csv"}
-    write_csv(density, outdir / "density.csv")
-    report.setdefault("outputs", {"density_csv": "density.csv"})
-    report["mass"] = {
-        "input": float(a_mu.values[0]),
-        "recovered": float(np.sum(density.values) * density.step),
-    }
-    _write_report(outdir, report)
-    return EXIT_OK
-
-
-def _run_circle(cfg, tau_mu: TrigMoments, outdir: Path, report: dict) -> int:
-    tau0 = float(tau_mu.values[0].real)
-    if cfg["skip_condition"]:
-        target = tau_mu
-        report["conditioned_moments"] = None
-    else:
-        target = condition_circle(tau_mu)
-        report["conditioned_moments"] = [
-            [float(v.real), float(v.imag)] for v in target.values
-        ]
-    sol = solve_trig_moments(
-        target.values,
-        node_count=max(cfg["grid"], 4 * target.order + 4),
-        tol=cfg["tol"],
-        max_sweeps=cfg["max_sweeps"],
-        delta=cfg["delta"],
-    )
+        target = domain.condition(source)
+        report["conditioned_moments"] = domain.conditioned_json(target.values)
+    sol, (a, b) = domain.solve(cfg, target, source, report)
     report["solver"] = sol.report()
     if not sol.converged:
         _write_report(outdir, report)
         print("maxent did not converge; see report.json", file=sys.stderr)
         return EXIT_NOCONV
 
-    grid = GridFunction.on_circle(np.zeros(cfg["grid"]))
+    grid = GridFunction(domain.grid_kind, a, b, np.zeros(cfg["grid"]))
     profile = density_on(sol, grid.grid)
+    outputs = {"density_csv": "density.csv"}
     if cfg["skip_condition"]:
         density = grid.with_values(profile)
     else:
-        phi = grid.with_values(_clamped_phase(profile, np.pi, report))
-        density = invert_circle(phi, tau0)
+        phi = grid.with_values(_clamped_phase(profile, domain.phase_max, report))
+        density = domain.invert(phi, cfg, source)
         write_csv(phi, outdir / "phase.csv")
-        report["outputs"] = {"density_csv": "density.csv", "phase_csv": "phase.csv"}
+        outputs["phase_csv"] = "phase.csv"
     write_csv(density, outdir / "density.csv")
-    report.setdefault("outputs", {"density_csv": "density.csv"})
+    report["outputs"] = outputs
     report["mass"] = {
-        "input": 2 * np.pi * tau0,
+        "input": domain.input_mass(source),
         "recovered": float(np.sum(density.values) * density.step),
     }
     _write_report(outdir, report)
@@ -358,10 +328,8 @@ def _run_raybeam(cfg, gamma: MultiMoments, outdir: Path, report: dict) -> int:
         grid_size=cfg["grid"],
         span=cfg["span"],
         node_count=cfg["nodes"],
-        tol=cfg["tol"],
-        max_sweeps=cfg["max_sweeps"],
-        delta=cfg["delta"],
         pad_factor=cfg["pad"],
+        **_budget(cfg),
     )
     summaries = []
     all_converged = True
@@ -381,6 +349,50 @@ def _run_raybeam(cfg, gamma: MultiMoments, outdir: Path, report: dict) -> int:
         print("one or more rays did not converge; see report.json", file=sys.stderr)
         return EXIT_NOCONV
     return EXIT_OK
+
+
+# pipeline name -> (moment container it reads, runner)
+PIPELINES = {
+    "line": (PowerMoments, partial(_run_phase, LINE)),
+    "circle": (TrigMoments, partial(_run_phase, CIRCLE)),
+    "polydisk": (MultiMoments, _run_polydisk),
+    "raybeam": (MultiMoments, _run_raybeam),
+}
+
+
+def run_pipeline(cfg: dict, moments_path: str) -> int:
+    try:
+        with open(moments_path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        moments = moments_from_json(payload)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot parse moments file: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+
+    outdir = Path(cfg["output"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    report: dict = {
+        "pipeline": cfg["pipeline"],
+        "provenance": _provenance(moments_path, cfg),
+    }
+    try:
+        if cfg["pipeline"] not in PIPELINES:
+            raise ValueError(f"unknown pipeline {cfg['pipeline']!r}")
+        expected, run = PIPELINES[cfg["pipeline"]]
+        if not isinstance(moments, expected):
+            raise TypeError(
+                f"{cfg['pipeline']} pipeline expects {expected.__name__}, "
+                f"got {type(moments).__name__}"
+            )
+        return run(cfg, moments, outdir, report)
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, PhaseRangeError):
+            print(f"error: {exc}", file=sys.stderr)
+            report["error"] = str(exc)
+            _write_report(outdir, report)
+            return EXIT_RANGE
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def main(argv=None) -> int:

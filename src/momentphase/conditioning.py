@@ -12,11 +12,12 @@ exponential-polynomial weight from its leading ones.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .series import FormalSeries, accumulate_powers, graded_indices
+from .series import FormalSeries, _positions, accumulate_powers, graded_indices
 
 __all__ = [
     "Support",
@@ -135,7 +136,7 @@ class MultiMoments:
         key = tuple(int(i) for i in index)
         if sum(key) > self.order:
             return 0j
-        return complex(self.values[self.indices.index(key)])
+        return complex(self.values[_positions(self.dimension, self.order)[key]])
 
     def real_values(self) -> np.ndarray:
         scale = max(1.0, np.abs(self.values).max())
@@ -241,11 +242,7 @@ def condition_polydisk(a_mu: MultiMoments) -> MultiMoments:
     for pos, alpha in enumerate(a_mu.indices):
         if pos == 0:
             continue
-        total = sum(alpha)
-        mult = _factorial(total)
-        for ai in alpha:
-            mult /= _factorial(ai)
-        b_minus_1.coeff[pos] = mult * gamma[pos] / mass
+        b_minus_1.coeff[pos] = _multinomial(alpha) * gamma[pos] / mass
     weights = [(-1.0) ** (k + 1) / k for k in range(1, n + 1)]
     log_series = accumulate_powers(b_minus_1, weights)
     out = log_series.coeff / 2j
@@ -253,10 +250,11 @@ def condition_polydisk(a_mu: MultiMoments) -> MultiMoments:
     return MultiMoments(d, n, out)
 
 
-def _factorial(n: int) -> float:
-    out = 1.0
-    for i in range(2, n + 1):
-        out *= i
+def _multinomial(alpha: tuple[int, ...]) -> int:
+    """|alpha|! / alpha!, in exact integer arithmetic."""
+    out = math.factorial(sum(alpha))
+    for a in alpha:
+        out //= math.factorial(a)
     return out
 
 
@@ -414,18 +412,22 @@ def moments_from_json(payload: dict):
         values = np.asarray(payload["values"], dtype=float)
         if values.size == 0:
             raise ValueError("empty moment sequence")
-        return PowerMoments(values, sup)
-    if kind == "trig":
+        moments = PowerMoments(values, sup)
+    elif kind == "trig":
         raw = payload["values"]
         if len(raw) == 0:
             raise ValueError("empty moment sequence")
         values = np.array([complex(re, im) for re, im in raw])
-        return TrigMoments(values)
-    if kind == "multi":
+        moments = TrigMoments(values)
+    elif kind == "multi":
         d = int(payload["dimension"])
         order = int(payload["order"])
         entries = {tuple(int(i) for i in idx): float(v) for idx, v in payload["values"]}
         if not entries:
             raise ValueError("empty moment sequence")
-        return MultiMoments.from_dict(d, order, entries)
-    raise ValueError(f"unknown moment kind {kind!r}")
+        moments = MultiMoments.from_dict(d, order, entries)
+    else:
+        raise ValueError(f"unknown moment kind {kind!r}")
+    if not np.all(np.isfinite(moments.values)):
+        raise ValueError("moment values must be finite")
+    return moments

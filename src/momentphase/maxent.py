@@ -176,7 +176,7 @@ class PreconditionMeta:
 
 
 def precondition(
-    a: np.ndarray, mu: np.ndarray, delta: float = 1.0, scale_by_rows: bool = False
+    a: np.ndarray, mu: np.ndarray, delta: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, PreconditionMeta]:
     """Affine remap of rows and targets into the convergent regime.
 
@@ -188,9 +188,6 @@ def precondition(
     remaining entries are means of basis functions.  A density solving the
     conditioned problem solves the original one: the remap is affine and the
     constant row absorbs the offsets.
-
-    scale_by_rows switches to the historical factor t_i = 1/(n (M_i+delta))
-    with n the row count; kept for comparison, converges noticeably slower.
     """
     a = np.asarray(a, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -202,8 +199,6 @@ def precondition(
     u = -a.min(axis=1) + delta
     m = (a + u[:, None]).max(axis=1)
     t = 1.0 / (m + delta)
-    if scale_by_rows:
-        t = t / a.shape[0]
     a_prime = t[:, None] * (a + u[:, None])
     mu_prime = t * (u + mu)
     if np.any(mu_prime <= 0):
@@ -265,7 +260,6 @@ def fime_solve(
     tol: float = 1e-10,
     max_sweeps: int = 100_000,
     delta: float = 1.0,
-    seed: int | None = None,
 ) -> DualSolution:
     """Cyclic multiplicative dual ascent on the preconditioned problem.
 
@@ -290,10 +284,7 @@ def fime_solve(
     n_rows = basis.n_rows
     weights = basis.quadrature.weights
 
-    rng = np.random.default_rng(seed)
-    alpha = (
-        np.zeros(n_rows) if seed is None else rng.uniform(-0.5, 0.5, size=n_rows)
-    )
+    alpha = np.zeros(n_rows)
     s = a_prime.T @ alpha
     clipped = False
 
@@ -343,7 +334,6 @@ def solve_power_moments(
     max_sweeps: int = 500_000,
     delta: float = 1.0,
     rule: str = "gauss",
-    seed: int | None = None,
 ) -> DualSolution:
     """Maxent density on an interval matching power moments mu_0..mu_N.
 
@@ -360,9 +350,7 @@ def solve_power_moments(
     quad = build_quadrature(interval[0], interval[1], node_count, rule)
     basis = legendre_basis(quad, order)
     mu_leg = basis.coeff_rows @ mu
-    return fime_solve(
-        basis, mu_leg, tol=tol, max_sweeps=max_sweeps, delta=delta, seed=seed
-    )
+    return fime_solve(basis, mu_leg, tol=tol, max_sweeps=max_sweeps, delta=delta)
 
 
 def monomial_dual(solution: DualSolution) -> np.ndarray:
@@ -380,7 +368,6 @@ def solve_trig_moments(
     tol: float = 1e-8,
     max_sweeps: int = 500_000,
     delta: float = 1.0,
-    seed: int | None = None,
 ) -> DualSolution:
     """Maxent density on the circle matching trigonometric moments.
 
@@ -397,7 +384,7 @@ def solve_trig_moments(
     for k in range(1, m + 1):
         mu[2 * k - 1] = 2 * np.pi * tau[k].real
         mu[2 * k] = -2 * np.pi * tau[k].imag
-    return fime_solve(basis, mu, tol=tol, max_sweeps=max_sweeps, delta=delta, seed=seed)
+    return fime_solve(basis, mu, tol=tol, max_sweeps=max_sweeps, delta=delta)
 
 
 def density_on(solution: DualSolution, points: np.ndarray) -> np.ndarray:

@@ -5,19 +5,18 @@ along x -> x . y is one-dimensional; its power moments are weighted sums of
 the multivariate moments.  Each ray then runs the full 1-D machinery: phase
 moments by the triangular log map, a bounded phase profile by maximum
 entropy, and a hyperplane-integral (Radon) slice by composing the boundary
-average with one more Hilbert transform.  Rays are independent and the sweep
-runs them concurrently.
+average with one more Hilbert transform.  Rays are independent; the sweep
+runs them one after another.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import MultiMoments, _log_expand
+from .conditioning import MultiMoments, _log_expand, _multinomial
 from .maxent import DualSolution, density_on, solve_power_moments
 from .transform import GridFunction, cauchy_boundary_avg, hilbert_line
 
@@ -94,10 +93,7 @@ def pushforward_moments(
         k = sum(alpha)
         if k > n:
             continue
-        coef = math.factorial(k)
-        for a in alpha:
-            coef /= math.factorial(a)
-        out[k] += coef * np.prod(comps ** np.asarray(alpha)) * values[pos]
+        out[k] += _multinomial(alpha) * np.prod(comps ** np.asarray(alpha)) * values[pos]
     return out
 
 
@@ -191,23 +187,11 @@ def radon_slice(xi_star: GridFunction, pad_factor: int = 4) -> GridFunction:
     return xi_star.with_values(-h.values / np.pi)
 
 
-def ray_sweep(
-    gamma: MultiMoments,
-    directions,
-    max_workers: int | None = None,
-    **ray_kwargs,
-) -> list[RaySlice]:
-    """Run `reconstruct_ray` over a direction list, concurrently.
+def ray_sweep(gamma: MultiMoments, directions, **ray_kwargs) -> list[RaySlice]:
+    """Run `reconstruct_ray` over a direction list, one ray after another.
 
-    Rays share no mutable state; results come back ordered by the input
-    direction index regardless of completion order.
+    Every direction is validated before the first ray runs; results are
+    ordered by the input direction index.
     """
     dirs = [d if isinstance(d, RayDirection) else RayDirection.of(d) for d in directions]
-    if not dirs:
-        return []
-    workers = max_workers or min(len(dirs), 8)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(reconstruct_ray, gamma, d, **ray_kwargs) for d in dirs
-        ]
-        return [f.result() for f in futures]
+    return [reconstruct_ray(gamma, d, **ray_kwargs) for d in dirs]

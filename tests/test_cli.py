@@ -8,6 +8,8 @@ import pytest
 from momentphase.cli import EXIT_NOCONV, EXIT_OK, EXIT_PARSE, EXIT_RANGE, main
 from momentphase.series import FormalSeries, series_exp
 
+NAN, INF = float("nan"), float("inf")
+
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -59,6 +61,20 @@ def test_line_pipeline_dirac(tmp_path):
     assert report["feasibility"] == "boundary"
 
 
+def test_line_point_mass_off_origin_converges(tmp_path):
+    # mass 0.5 at 1.0: its phase is one on [1, 1.5], so a window starting
+    # at 0 would leave most quadrature nodes where the phase vanishes
+    path = write_json(
+        tmp_path / "atom.json",
+        {"kind": "power", "support": "half_line", "values": [0.5, 0.5, 0.5, 0.5]},
+    )
+    out = tmp_path / "out"
+    assert main([path, "--pipeline", "line", "-o", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver"]["converged"] is True
+    assert report["phase_interval"][0] > 0
+
+
 def test_skip_condition_negative_control(tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -76,12 +92,26 @@ def test_skip_condition_negative_control(tmp_path):
     assert report["conditioned_moments"] is None
 
 
-def test_empty_moments_file_is_parse_error(tmp_path):
-    path = write_json(
-        tmp_path / "empty.json",
-        {"kind": "power", "support": "half_line", "values": []},
-    )
-    assert main([path, "--pipeline", "line", "-o", str(tmp_path / "o")]) == EXIT_PARSE
+@pytest.mark.parametrize(
+    "pipeline, payload",
+    [
+        ("line", {"kind": "power", "support": "half_line", "values": []}),
+        ("line", {"kind": "power", "support": "half_line", "values": [1, NAN, 0, 0]}),
+        ("line", {"kind": "power", "support": [0.0, 1.0], "values": [1, 0.5, INF]}),
+        ("circle", {"kind": "trig", "values": [[0.2, 0.0], [0.1, -INF]]}),
+        (
+            "polydisk",
+            {"kind": "multi", "dimension": 1, "order": 2,
+             "values": [[[0], 1.0], [[1], NAN], [[2], 0.1]]},
+        ),
+    ],
+    ids=["empty", "power-nan", "power-inf", "trig-inf", "multi-nan"],
+)
+def test_empty_moments_file_is_parse_error(tmp_path, pipeline, payload):
+    path = write_json(tmp_path / "moments.json", payload)
+    out = tmp_path / "o"
+    assert main([path, "--pipeline", pipeline, "-o", str(out)]) == EXIT_PARSE
+    assert not out.exists()
 
 
 def test_malformed_json_is_parse_error(tmp_path):

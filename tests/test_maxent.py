@@ -83,14 +83,6 @@ def test_precondition_maps_into_unit_interval():
     assert mu_p.min() > 0.0
 
 
-def test_precondition_legacy_row_scaling():
-    a = np.array([[-1.0, 1.0], [0.0, 1.0]])
-    mu = np.array([1.0, 0.4])
-    plain = precondition(a, mu, delta=1.0)[2]
-    legacy = precondition(a, mu, delta=1.0, scale_by_rows=True)[2]
-    assert np.allclose(legacy.factors, plain.factors / 2)
-
-
 def test_precondition_rejects_zero_row():
     a = np.zeros((2, 5))
     a[0] = 1.0

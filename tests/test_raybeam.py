@@ -203,7 +203,7 @@ def test_sweep_preserves_direction_order_and_matches_serial():
     gamma = atom_moments([[0.5, 0.5], [1.0, 0.2]], [1.0, 0.7], 6)
     dirs = [[1.0, 1.0], [0.5, 2.0], [2.0, 0.5]]
     kwargs = dict(grid_size=1024, node_count=201, tol=1e-6, max_sweeps=100_000, delta=0.1)
-    swept = ray_sweep(gamma, dirs, max_workers=3, **kwargs)
+    swept = ray_sweep(gamma, dirs, **kwargs)
     assert [s.direction.components for s in swept] == [
         RayDirection.of(d).components for d in dirs
     ]

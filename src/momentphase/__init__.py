@@ -47,8 +47,8 @@ from .series import (  # noqa: F401
     FormalSeries,
     accumulate_powers,
     series_exp,
+    series_log,
     series_pow,
-    series_pow_zero_free,
 )
 from .transform import (  # noqa: F401
     GridFunction,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -121,7 +122,20 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
+    _check_ranges(cfg)
     return cfg
+
+
+def _check_ranges(cfg: dict) -> None:
+    """Reject numeric settings that no run could use, before any work."""
+    for key, low in (("grid", 2), ("pad", 2), ("nodes", 2), ("max_sweeps", 1)):
+        if type(cfg[key]) is not int or cfg[key] < low:
+            raise ValueError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
+    if cfg["grid"] & (cfg["grid"] - 1):
+        raise ValueError(f"grid must be a power of two, got {cfg['grid']}")
+    for key in ("tol", "delta"):
+        if type(cfg[key]) not in (int, float) or not 0 < cfg[key] < math.inf:
+            raise ValueError(f"{key} must be finite and > 0, got {cfg[key]!r}")
 
 
 def _sign_oracle_residual() -> float:
@@ -162,11 +176,35 @@ def _provenance(moments_path: str, cfg: dict) -> dict:
     return prov
 
 
+def _finite(value, key: str, non_finite: set):
+    """`value` with NaN and infinities replaced by None, their dotted keys
+    collected in `non_finite` (list positions count only for dicts)."""
+    if isinstance(value, dict):
+        return {k: _finite(v, f"{key}.{k}".lstrip("."), non_finite) for k, v in value.items()}
+    if isinstance(value, list):
+        return [
+            _finite(v, f"{key}.{i}" if isinstance(v, dict) else key, non_finite)
+            for i, v in enumerate(value)
+        ]
+    if isinstance(value, float) and not math.isfinite(value):
+        non_finite.add(key)
+        return None
+    return value
+
+
+def _dump_json(path: Path, payload: dict) -> None:
+    """Strict JSON: non-finite numbers become null, listed under "non_finite"."""
+    non_finite: set = set()
+    clean = _finite(payload, "", non_finite)
+    if non_finite:
+        clean["non_finite"] = sorted(non_finite)
+    text = json.dumps(clean, sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
 def _write_report(outdir: Path, report: dict) -> None:
     report["schema"] = 1
-    with open(outdir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _dump_json(outdir / "report.json", report)
 
 
 def _clamped_phase(values: np.ndarray, hi: float, report: dict) -> np.ndarray:
@@ -302,9 +340,7 @@ def _run_polydisk(cfg, a_mu: MultiMoments, outdir: Path, report: dict) -> int:
         "total_mass": a_mu.total_mass,
         "entries": entries,
     }
-    with open(outdir / "conditioned.json", "w", encoding="utf-8") as fh:
-        json.dump(conditioned, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _dump_json(outdir / "conditioned.json", conditioned)
     report["outputs"] = {"conditioned_json": "conditioned.json"}
     report["note"] = (
         "polydisk pipeline emits conditioned torus phase moments; "
@@ -365,16 +401,14 @@ def run_pipeline(cfg: dict, moments_path: str) -> int:
         with open(moments_path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         moments = moments_from_json(payload)
+        provenance = _provenance(moments_path, cfg)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot parse moments file: {exc}", file=sys.stderr)
+        print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
     outdir = Path(cfg["output"])
     outdir.mkdir(parents=True, exist_ok=True)
-    report: dict = {
-        "pipeline": cfg["pipeline"],
-        "provenance": _provenance(moments_path, cfg),
-    }
+    report: dict = {"pipeline": cfg["pipeline"], "provenance": provenance}
     try:
         if cfg["pipeline"] not in PIPELINES:
             raise ValueError(f"unknown pipeline {cfg['pipeline']!r}")

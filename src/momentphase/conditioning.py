@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import FormalSeries, _positions, accumulate_powers, graded_indices
+from .series import FormalSeries, _positions, graded_indices, series_log
 
 __all__ = [
     "Support",
@@ -156,30 +156,16 @@ class Feasibility(enum.Enum):
 # ----------------------------------------------------------------------------
 
 
-def _log_expand(values: np.ndarray, upper: int) -> np.ndarray:
-    """Coefficients of sum_{k=1}^{upper} (1/k) S^k where S_n+1 = values_n.
-
-    In the variable u = 1/z the moment generating sum S = sum gamma_n u^(n+1)
-    has zero free term; the weighted power sum is the truncated expansion of
-    -log(1 - S).  Entry n of the result is the coefficient of u^(n+1).
-    """
-    n = len(values)
-    s = FormalSeries.zeros(1, n)
-    s.coeff[1:] = values
-    weights = [1.0 / k for k in range(1, upper + 1)]
-    log_series = accumulate_powers(s, weights)
-    return log_series.coeff[1:].copy()
-
-
 def condition_line(a_mu: PowerMoments) -> PowerMoments:
     """Phase moments of a measure on the line from its power moments.
 
     The phase function phi takes values in [0, 1] and satisfies
     1 + Cmu = exp(Cphi) for the Cauchy transforms; expanding the logarithm at
     infinity turns the measure moments a_mu(0..N) into the phase moments
-    a_phi(0..N).  The sum of powers runs to k = N+1: the lowest-order term of
-    S^k is u^k, so the coefficient of u^(N+1) receives a contribution from
-    k = N+1 (a pure point mass at the origin needs exactly that term).
+    a_phi(0..N).  In the variable u = 1/z the moment sum
+    S = sum gamma_n u^(n+1) has zero free term and a_phi(n) is the
+    coefficient of u^(n+1) in -log(1 - S), so the series runs to order N+1
+    (a pure point mass at the origin needs exactly that last term).
 
     The phase of a positive measure lives on the half line and is bounded by
     one, so the output support tag is half_line.
@@ -187,23 +173,18 @@ def condition_line(a_mu: PowerMoments) -> PowerMoments:
     values = np.asarray(a_mu.values, dtype=float)
     if values[0] <= 0:
         raise ValueError("total mass gamma_0 must be positive")
-    n = a_mu.order
-    coeffs = _log_expand(values.astype(complex), n + 1)
-    scale = max(1.0, np.abs(coeffs).max())
-    if np.abs(coeffs.imag).max() > IMAG_TOL * scale:
-        raise ValueError("phase moments acquired an imaginary part")
-    return PowerMoments(coeffs.real, Support.half_line())
+    b = FormalSeries.constant(1, values.size, 1.0)
+    b.coeff[1:] = -values
+    # a real series has a real logarithm, so .real drops only zeros
+    return PowerMoments(-series_log(b).coeff[1:].real, Support.half_line())
 
 
 def condition_circle(tau_mu: TrigMoments) -> TrigMoments:
     """Phase moments of a measure on the circle from its trigonometric moments.
 
-    With hat_tau(n) = tau(n)/tau(0), the phase moments satisfy
-
-        sum_{k>=1} tau_phi(k) z^k
-            = (i/2) sum_{k>=1} ((-1)^k / k) [ sum_{n>=1} hat_tau(n) z^n ]^k,
-
-    i.e. a truncated -(i/2) log(1 + .), and tau_phi(0) = pi/2 independently of
+    With hat_tau(n) = tau(n)/tau(0) and B(z) = 1 + sum_{n>=1} hat_tau(n) z^n,
+    the phase moments are the coefficients of the truncated log(B) / 2i: the
+    d = 1 case of `condition_polydisk`.  tau_phi(0) = pi/2 independently of
     the input (the mean of the phase over the circle is fixed by the
     normalization of the exponential representation).
     """
@@ -213,15 +194,10 @@ def condition_circle(tau_mu: TrigMoments) -> TrigMoments:
         raise ValueError("tau(0) must be real for a positive measure")
     if tau0.real <= 0:
         raise ValueError("tau(0) must be positive")
-    m = tau_mu.order
-    out = np.zeros(m + 1, dtype=complex)
+    b = FormalSeries.constant(1, tau_mu.order, 1.0)
+    b.coeff[1:] = values[1:] / tau0.real
+    out = series_log(b).coeff / 2j
     out[0] = np.pi / 2
-    if m >= 1:
-        s = FormalSeries.zeros(1, m)
-        s.coeff[1:] = values[1:] / tau0.real
-        weights = [(-1.0) ** k / k for k in range(1, m + 1)]
-        log_series = accumulate_powers(s, weights)
-        out[1:] = 0.5j * log_series.coeff[1:]
     return TrigMoments(out)
 
 
@@ -237,15 +213,11 @@ def condition_polydisk(a_mu: MultiMoments) -> MultiMoments:
     if mass <= 0:
         raise ValueError("total mass must be positive")
     d, n = a_mu.dimension, a_mu.order
-    b_minus_1 = FormalSeries.zeros(d, n)
+    b = FormalSeries.constant(d, n, 1.0)
     gamma = a_mu.values
-    for pos, alpha in enumerate(a_mu.indices):
-        if pos == 0:
-            continue
-        b_minus_1.coeff[pos] = _multinomial(alpha) * gamma[pos] / mass
-    weights = [(-1.0) ** (k + 1) / k for k in range(1, n + 1)]
-    log_series = accumulate_powers(b_minus_1, weights)
-    out = log_series.coeff / 2j
+    for pos, alpha in enumerate(a_mu.indices[1:], start=1):
+        b.coeff[pos] = _multinomial(alpha) * gamma[pos] / mass
+    out = series_log(b).coeff / 2j
     out[0] = np.pi / 2
     return MultiMoments(d, n, out)
 

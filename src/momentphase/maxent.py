@@ -333,7 +333,6 @@ def solve_power_moments(
     tol: float = 1e-8,
     max_sweeps: int = 500_000,
     delta: float = 1.0,
-    rule: str = "gauss",
 ) -> DualSolution:
     """Maxent density on an interval matching power moments mu_0..mu_N.
 
@@ -347,7 +346,7 @@ def solve_power_moments(
     """
     mu = np.asarray(mu, dtype=float)
     order = mu.size - 1
-    quad = build_quadrature(interval[0], interval[1], node_count, rule)
+    quad = build_quadrature(interval[0], interval[1], node_count)
     basis = legendre_basis(quad, order)
     mu_leg = basis.coeff_rows @ mu
     return fime_solve(basis, mu_leg, tol=tol, max_sweeps=max_sweeps, delta=delta)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import MultiMoments, _log_expand, _multinomial
+from .conditioning import MultiMoments, PowerMoments, Support, _multinomial, condition_line
 from .maxent import DualSolution, density_on, solve_power_moments
 from .transform import GridFunction, cauchy_boundary_avg, hilbert_line
 
@@ -100,17 +100,13 @@ def pushforward_moments(
 def ray_phase_moments(m: np.ndarray) -> np.ndarray:
     """Phase moments c_0..c_n from push-forward moments m_0..m_n.
 
-    Identical engine to the line conditioning: the asymptotic identity
+    The line conditioning of the push-forward measure: the asymptotic identity
     1 - sum m_k z^-(k+1) = exp(- sum c_j z^-(j+1)) makes the c_j the
     coefficients of the truncated -log(1 - .) of the moment sum.  In
     particular c_0 = m_0: the zeroth phase moment is the total mass, for
     every direction.
     """
-    m = np.asarray(m, dtype=float)
-    if m.size < 1 or m[0] <= 0:
-        raise ValueError("push-forward mass m_0 must be positive")
-    coeffs = _log_expand(m.astype(complex), m.size)
-    return coeffs.real.copy()
+    return condition_line(PowerMoments(m, Support.half_line())).values
 
 
 def support_cutoff(c: np.ndarray, span: float = 1.0) -> float:

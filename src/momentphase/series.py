@@ -1,17 +1,18 @@
 """Truncated multivariate formal power series.
 
 Coefficients live on the set of multi-indices of total degree <= N, stored
-densely in graded-lexicographic order.  The four operations exported here
-(powers, powers of zero-free-term series, weighted power sums, exponential)
-are the building blocks of every moment-conditioning transform in this
-package: the nonlinear maps between a measure's moments and its phase
-function's moments are compositions of truncated log/exp expansions.
+densely in graded-lexicographic order.  The operations exported here are
+powers (Miller's triangular recursion), the logarithm (the one-pass
+Euler-operator recurrence) and the exponential.  The nonlinear maps between a
+measure's moments and its phase function's moments are truncated log/exp
+expansions: every conditioning transform in this package is one
+`series_log` of a normalized moment series.  `accumulate_powers`, the
+weighted power sum, is the reference the logarithm is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ __all__ = [
     "FormalSeries",
     "graded_indices",
     "series_pow",
-    "series_pow_zero_free",
+    "series_log",
     "accumulate_powers",
     "series_exp",
 ]
@@ -173,24 +174,6 @@ class FormalSeries:
         if (self.dimension, self.order) != (other.dimension, other.order):
             raise ValueError("series dimension/order mismatch")
 
-    # -- serialization (CLI debugging) --------------------------------------
-
-    def to_json(self) -> dict:
-        entries = [
-            [list(idx), float(c.real), float(c.imag)]
-            for idx, c in zip(self.indices, self.coeff)
-            if c != 0
-        ]
-        return {"dimension": self.dimension, "order": self.order, "entries": entries}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FormalSeries":
-        s = cls.zeros(int(payload["dimension"]), int(payload["order"]))
-        pos = _positions(s.dimension, s.order)
-        for idx, re, im in payload["entries"]:
-            s.coeff[pos[tuple(int(i) for i in idx)]] = complex(re, im)
-        return s
-
 
 @lru_cache(maxsize=None)
 def _product_table(dimension: int, order: int) -> tuple[np.ndarray, ...]:
@@ -228,9 +211,7 @@ def series_pow(a: FormalSeries, k: int) -> FormalSeries:
     if k < 0:
         raise ValueError("exponent must be a non-negative integer")
     if a.free_term == 0:
-        raise ValueError(
-            "free term is zero; use series_pow_zero_free for such series"
-        )
+        raise ValueError("free term must be nonzero")
     out = FormalSeries.zeros(a.dimension, a.order)
     out.coeff[0] = a.free_term**k
     indices = a.indices
@@ -258,24 +239,32 @@ def series_pow(a: FormalSeries, k: int) -> FormalSeries:
     return out
 
 
-def series_pow_zero_free(s: FormalSeries, k: int) -> FormalSeries:
-    """k-th power of a series with zero free term.
+def series_log(b: FormalSeries) -> FormalSeries:
+    """Truncated log B for a series with free term exactly one.
 
-    Shifts by one and expands binomially,
-    S^k = [(S+1) - 1]^k = sum_j C(k,j) (-1)^(k-j) (S+1)^j,
-    so that every power on the right has a nonzero free term and series_pow
-    applies.
+    The Euler operator theta = sum_i x_i d/dx_i multiplies the coefficient
+    of x^alpha by |alpha|, and theta B = B theta(log B).  Comparing
+    coefficients gives the triangular recurrence (Brent & Kung, J. ACM 25
+    (1978) 581)
+
+        |alpha| L_alpha = |alpha| B_alpha
+                          - sum_{0 < beta < alpha} |beta| L_beta B_{alpha-beta},
+
+    run here in graded order: once L_beta is final, its terms are pushed to
+    every higher-degree alpha = beta + gamma.  One pass over the product
+    table replaces the N-1 full products of a power sum.
     """
-    if k < 0:
-        raise ValueError("exponent must be a non-negative integer")
-    if s.free_term != 0:
-        raise ValueError("free term must be zero")
-    shifted = s.copy()
-    shifted.coeff[0] = 1.0
-    out = FormalSeries.zeros(s.dimension, s.order)
-    for j in range(k + 1):
-        term = series_pow(shifted, j)
-        out = out + term.scale(math.comb(k, j) * (-1.0) ** (k - j))
+    if b.free_term != 1:
+        raise ValueError("free term must be one")
+    table = _product_table(b.dimension, b.order)
+    out = FormalSeries.zeros(b.dimension, b.order)
+    pending = np.zeros_like(out.coeff)  # the sum over beta, filled from below
+    for p, alpha in enumerate(b.indices[1:], start=1):
+        degree = sum(alpha)
+        out.coeff[p] = b.coeff[p] - pending[p] / degree
+        pairs = table[p][1:]  # drops gamma = 0, the first index
+        if out.coeff[p] != 0 and pairs.size:
+            pending[pairs[:, 1]] += degree * out.coeff[p] * b.coeff[pairs[:, 0]]
     return out
 
 
@@ -284,10 +273,9 @@ def accumulate_powers(s: FormalSeries, weights) -> FormalSeries:
 
     S must have zero free term, so S^k has minimal degree k and the sum is
     finite on any truncation.  With w_k = 1/k this is -log(1-S); with
-    w_k = (-1)^(k+1)/k it is log(1+S).  Powers are built by repeated
-    truncated multiplication rather than by the binomial shift, which would
-    cancel catastrophically at the ~1e-12 accuracies the conditioning
-    transforms are held to.
+    w_k = (-1)^(k+1)/k it is log(1+S).  No program path uses it: it is the
+    independent reference `series_log` is tested against, built by repeated
+    truncated multiplication.
     """
     if s.free_term != 0:
         raise ValueError("free term must be zero")

@@ -301,3 +301,84 @@ def test_unknown_config_key_is_rejected(tmp_path):
     path = dirac_line_file(tmp_path)
     cfg = write_json(tmp_path / "cfg.json", {"grits": 256})
     assert main([path, "--config", cfg, "-o", str(tmp_path / "o")]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--grid", "1000"],
+        ["--grid", "1"],
+        ["--pad", "1"],
+        ["--nodes", "1"],
+        ["--tol", "-1"],
+        ["--tol", "0"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--max-sweeps", "0"],
+        ["--delta", "0"],
+        ["--delta", "-0.5"],
+    ],
+    ids=lambda flags: "".join(flags).lstrip("-"),
+)
+def test_bad_config_value_exits_before_output(tmp_path, flags):
+    out = tmp_path / "o"
+    code = main([dirac_line_file(tmp_path), "--pipeline", "line", *flags, "-o", str(out)])
+    assert code == EXIT_PARSE
+    assert not out.exists()
+
+
+def test_bad_config_file_value_exits_before_output(tmp_path):
+    cfg = write_json(tmp_path / "cfg.json", {"grid": "1024"})
+    out = tmp_path / "o"
+    assert main([dirac_line_file(tmp_path), "--config", cfg, "-o", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+
+
+def test_missing_directions_file_exits_before_output(tmp_path):
+    path = write_json(
+        tmp_path / "m.json",
+        {"kind": "multi", "dimension": 2, "order": 1,
+         "values": [[[0, 0], 1.0], [[1, 0], 0.5], [[0, 1], 0.5]]},
+    )
+    out = tmp_path / "o"
+    code = main(
+        [path, "--pipeline", "raybeam", "--directions", str(tmp_path / "nope.json"),
+         "-o", str(out)]
+    )
+    assert code == EXIT_PARSE
+    assert not out.exists()
+
+
+def strict_load(path):
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_report_is_strict_json_when_solver_values_overflow(tmp_path):
+    path = write_json(
+        tmp_path / "huge.json",
+        {"kind": "power", "support": "half_line", "values": [1, 0.5, 1e308, 0.1]},
+    )
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = main([path, "--pipeline", "line", "--max-sweeps", "20000", "-o", str(out)])
+    assert code == EXIT_NOCONV
+    report = strict_load(out / "report.json")
+    assert "solver.alpha" in report["non_finite"]
+    assert None in report["solver"]["alpha"]
+
+
+def test_conditioned_json_is_strict_when_conditioning_overflows(tmp_path):
+    path = write_json(
+        tmp_path / "huge.json",
+        {"kind": "multi", "dimension": 1, "order": 3,
+         "values": [[[0], 1.0], [[1], 1e308], [[2], 1e308], [[3], 1.0]]},
+    )
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main([path, "--pipeline", "polydisk", "-o", str(out)]) == EXIT_OK
+    conditioned = strict_load(out / "conditioned.json")
+    assert conditioned["non_finite"] == ["entries"]
+    assert "non_finite" not in strict_load(out / "report.json")

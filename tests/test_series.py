@@ -10,8 +10,8 @@ from momentphase.series import (
     accumulate_powers,
     graded_indices,
     series_exp,
+    series_log,
     series_pow,
-    series_pow_zero_free,
 )
 
 # ---------------------------------------------------------------------------
@@ -132,36 +132,6 @@ def test_pow_triangular_prefix_stability():
 
 
 # ---------------------------------------------------------------------------
-# series_pow_zero_free
-# ---------------------------------------------------------------------------
-
-
-def test_zero_free_pow_of_zero():
-    z = FormalSeries.zeros(1, 5)
-    out = series_pow_zero_free(z, 2)
-    assert np.allclose(out.coeff, 0.0)
-
-
-def test_zero_free_monomial_power():
-    s = FormalSeries.from_dict(1, 4, {(1,): 1.0})
-    out = series_pow_zero_free(s, 3)
-    assert_series_close(out, {(3,): 1.0})
-
-
-def test_zero_free_hand_convolution():
-    s = FormalSeries.from_dict(1, 4, {(1,): 1.0, (2,): 1.0})
-    out = series_pow_zero_free(s, 2)
-    # (z + z^2)^2 = z^2 + 2 z^3 + z^4
-    assert_series_close(out, {(2,): 1.0, (3,): 2.0, (4,): 1.0})
-
-
-def test_zero_free_rejects_nonzero_free_term():
-    s = FormalSeries.constant(1, 3, 1.0)
-    with pytest.raises(ValueError):
-        series_pow_zero_free(s, 2)
-
-
-# ---------------------------------------------------------------------------
 # accumulate_powers
 # ---------------------------------------------------------------------------
 
@@ -200,6 +170,61 @@ def test_accumulate_rejects_nonzero_free_term():
     s = FormalSeries.constant(1, 3, 0.1)
     with pytest.raises(ValueError):
         accumulate_powers(s, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# series_log
+# ---------------------------------------------------------------------------
+
+
+def random_zero_free(dimension: int, order: int, seed: int) -> FormalSeries:
+    """Complex S with zero free term, small enough that log(1+S) is tame."""
+    rng = np.random.default_rng(seed)
+    s = FormalSeries.zeros(dimension, order)
+    s.coeff[:] = rng.uniform(-0.3, 0.3, s.coeff.size) + 1j * rng.uniform(
+        -0.3, 0.3, s.coeff.size
+    )
+    s.coeff[0] = 0.0
+    return s
+
+
+@pytest.mark.parametrize("order", range(9))
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_log_inverts_exp(dimension, order):
+    b = random_zero_free(dimension, order, 100 * dimension + order)
+    b.coeff[0] = 1.0
+    back = series_exp(series_log(b))
+    assert np.max(np.abs(back.coeff - b.coeff)) < 1e-12
+
+
+@pytest.mark.parametrize("order", range(9))
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_log_matches_power_sum(dimension, order):
+    # log(1 + S) = sum_k (-1)^(k+1) S^k / k, built by repeated products
+    s = random_zero_free(dimension, order, 7 + 100 * dimension + order)
+    reference = accumulate_powers(
+        s, [(-1.0) ** (k + 1) / k for k in range(1, order + 1)]
+    )
+    b = s.copy()
+    b.coeff[0] = 1.0
+    assert np.max(np.abs(series_log(b).coeff - reference.coeff)) < 1e-13
+
+
+@pytest.mark.parametrize("free_term", [0.0, 2.0, -1.0, 1.0 + 1e-15, 1j])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_log_rejects_free_term_other_than_one(dimension, free_term):
+    b = FormalSeries.constant(dimension, 4, free_term)
+    with pytest.raises(ValueError):
+        series_log(b)
+
+
+def test_log_geometric():
+    # log(1/(1 - a z)) = sum a^n z^n / n
+    a, n = 0.5, 16
+    b = FormalSeries.from_dict(1, n, {(m,): a**m for m in range(n + 1)})
+    out = series_log(b)
+    for m in range(1, n + 1):
+        assert out.coefficient((m,)) == pytest.approx(a**m / m, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +282,6 @@ def test_graded_order_is_by_total_degree():
 def test_from_dict_rejects_overflow_index():
     with pytest.raises(ValueError):
         FormalSeries.from_dict(2, 3, {(2, 2): 1.0})
-
-
-def test_json_round_trip():
-    s = FormalSeries.from_dict(2, 3, {(1, 0): 1.5, (0, 2): -2.0 + 0.5j})
-    t = FormalSeries.from_json(s.to_json())
-    assert np.allclose(s.coeff, t.coeff)
-    assert (t.dimension, t.order) == (2, 3)
 
 
 def test_multiply_matches_naive():

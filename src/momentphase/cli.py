@@ -58,14 +58,12 @@ DEFAULTS = {
     "grid": 1024,
     "tol": 1e-7,
     "max_sweeps": 500_000,
-    "pad": 4,
     "delta": 1.0,
     "nodes": 301,
     "span": 1.0,
     "skip_condition": False,
     "directions": None,
     "output": "out",
-    "phase_support": None,
     "window": None,
 }
 
@@ -92,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_sweeps",
         help="maxent budget in coordinate updates",
     )
-    p.add_argument("--pad", type=int, default=None, help="FFT zero-padding factor")
     p.add_argument("--delta", type=float, default=None, help="preconditioning offset")
     p.add_argument("--nodes", type=int, default=None, help="quadrature node count")
     p.add_argument(
@@ -128,14 +125,28 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 def _check_ranges(cfg: dict) -> None:
     """Reject numeric settings that no run could use, before any work."""
-    for key, low in (("grid", 2), ("pad", 2), ("nodes", 2), ("max_sweeps", 1)):
+    for key, low in (("grid", 2), ("nodes", 2), ("max_sweeps", 1)):
         if type(cfg[key]) is not int or cfg[key] < low:
             raise ValueError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
     if cfg["grid"] & (cfg["grid"] - 1):
         raise ValueError(f"grid must be a power of two, got {cfg['grid']}")
     for key in ("tol", "delta"):
-        if type(cfg[key]) not in (int, float) or not 0 < cfg[key] < math.inf:
+        if not _is_finite_number(cfg[key]) or cfg[key] <= 0:
             raise ValueError(f"{key} must be finite and > 0, got {cfg[key]!r}")
+    if not _is_finite_number(cfg["span"]) or cfg["span"] < 0:
+        raise ValueError(f"span must be finite and >= 0, got {cfg['span']!r}")
+    window = cfg["window"]
+    if window is not None and not (
+        isinstance(window, list)
+        and len(window) == 2
+        and all(map(_is_finite_number, window))
+        and window[0] < window[1]
+    ):
+        raise ValueError(f"window must be null or [lo, hi] with finite lo < hi, got {window!r}")
+
+
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _sign_oracle_residual() -> float:
@@ -192,6 +203,13 @@ def _finite(value, key: str, non_finite: set):
     return value
 
 
+def _out(outdir: Path, name: str) -> Path:
+    """Where output `name` goes.  The directory is made with the first file,
+    so a run that stops on bad input (exit 2) leaves none behind."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / name
+
+
 def _dump_json(path: Path, payload: dict) -> None:
     """Strict JSON: non-finite numbers become null, listed under "non_finite"."""
     non_finite: set = set()
@@ -204,7 +222,7 @@ def _dump_json(path: Path, payload: dict) -> None:
 
 def _write_report(outdir: Path, report: dict) -> None:
     report["schema"] = 1
-    _dump_json(outdir / "report.json", report)
+    _dump_json(_out(outdir, "report.json"), report)
 
 
 def _clamped_phase(values: np.ndarray, hi: float, report: dict) -> np.ndarray:
@@ -218,9 +236,6 @@ def _clamped_phase(values: np.ndarray, hi: float, report: dict) -> np.ndarray:
 
 
 def _phase_interval(cfg, conditioned: PowerMoments, source: PowerMoments):
-    if cfg["phase_support"] is not None:
-        lo, hi = cfg["phase_support"]
-        return float(lo), float(hi)
     if source.support.kind == "interval":
         # The phase of a measure on [a, b] lives on [a, b] unless an atom
         # sits at the right endpoint (which pushes it right by its mass);
@@ -264,7 +279,7 @@ class _Domain:
     solve: Callable  # (cfg, target, source, report) -> (solution, grid bounds)
     grid_kind: str
     phase_max: float
-    invert: Callable  # (phase, cfg, source) -> density
+    invert: Callable  # (phase, source) -> density
     input_mass: Callable  # source -> total mass of the measure
 
 
@@ -274,7 +289,7 @@ LINE = _Domain(
     solve=_solve_line,
     grid_kind="interval",
     phase_max=1.0,
-    invert=lambda phi, cfg, source: invert_line(phi, pad_factor=cfg["pad"]),
+    invert=lambda phi, source: invert_line(phi),
     input_mass=lambda source: float(source.values[0]),
 )
 
@@ -284,7 +299,7 @@ CIRCLE = _Domain(
     solve=_solve_circle,
     grid_kind="circle",
     phase_max=np.pi,
-    invert=lambda phi, cfg, source: invert_circle(phi, float(source.values[0].real)),
+    invert=lambda phi, source: invert_circle(phi, float(source.values[0].real)),
     input_mass=lambda source: 2 * np.pi * float(source.values[0].real),
 )
 
@@ -312,10 +327,10 @@ def _run_phase(domain: _Domain, cfg, source, outdir: Path, report: dict) -> int:
         density = grid.with_values(profile)
     else:
         phi = grid.with_values(_clamped_phase(profile, domain.phase_max, report))
-        density = domain.invert(phi, cfg, source)
-        write_csv(phi, outdir / "phase.csv")
+        density = domain.invert(phi, source)
+        write_csv(phi, _out(outdir, "phase.csv"))
         outputs["phase_csv"] = "phase.csv"
-    write_csv(density, outdir / "density.csv")
+    write_csv(density, _out(outdir, "density.csv"))
     report["outputs"] = outputs
     report["mass"] = {
         "input": domain.input_mass(source),
@@ -340,7 +355,7 @@ def _run_polydisk(cfg, a_mu: MultiMoments, outdir: Path, report: dict) -> int:
         "total_mass": a_mu.total_mass,
         "entries": entries,
     }
-    _dump_json(outdir / "conditioned.json", conditioned)
+    _dump_json(_out(outdir, "conditioned.json"), conditioned)
     report["outputs"] = {"conditioned_json": "conditioned.json"}
     report["note"] = (
         "polydisk pipeline emits conditioned torus phase moments; "
@@ -356,22 +371,20 @@ def _run_raybeam(cfg, gamma: MultiMoments, outdir: Path, report: dict) -> int:
     with open(cfg["directions"], "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     directions = [RayDirection.of(d) for d in raw]
-    window = tuple(cfg["window"]) if cfg["window"] else None
     slices = ray_sweep(
         gamma,
         directions,
-        window=window,
+        window=cfg["window"],
         grid_size=cfg["grid"],
         span=cfg["span"],
         node_count=cfg["nodes"],
-        pad_factor=cfg["pad"],
         **_budget(cfg),
     )
     summaries = []
     all_converged = True
     for i, s in enumerate(slices):
-        write_csv(s.phase_grid, outdir / f"phase_{i:03d}.csv")
-        write_csv(s.radon_values, outdir / f"slice_{i:03d}.csv")
+        write_csv(s.phase_grid, _out(outdir, f"phase_{i:03d}.csv"))
+        write_csv(s.radon_values, _out(outdir, f"slice_{i:03d}.csv"))
         entry = s.summary()
         entry["outputs"] = {
             "phase_csv": f"phase_{i:03d}.csv",
@@ -407,7 +420,6 @@ def run_pipeline(cfg: dict, moments_path: str) -> int:
         return EXIT_PARSE
 
     outdir = Path(cfg["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
     report: dict = {"pipeline": cfg["pipeline"], "provenance": provenance}
     try:
         if cfg["pipeline"] not in PIPELINES:

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 IMAG_TOL = 1e-10  # tolerated imaginary leakage when a real pipeline crosses a boundary
+HANKEL_REL_TOL = 1e-10  # Hankel eigenvalues within this times max|gamma| of 0 are on the boundary
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def hankel_matrices(gamma: PowerMoments) -> tuple[np.ndarray, np.ndarray]:
     return h1, h2
 
 
-def hankel_feasibility(gamma: PowerMoments, rel_tol: float = 1e-10) -> Feasibility:
+def hankel_feasibility(gamma: PowerMoments) -> Feasibility:
     """Classify a moment sequence by the spectra of its Hankel matrices.
 
     Both matrices positive definite (all eigenvalues above the scaled
@@ -262,7 +263,7 @@ def hankel_feasibility(gamma: PowerMoments, rel_tol: float = 1e-10) -> Feasibili
     the boundary (singular measures land here).
     """
     h1, h2 = hankel_matrices(gamma)
-    tol = rel_tol * max(1.0, np.abs(gamma.values).max())
+    tol = HANKEL_REL_TOL * max(1.0, np.abs(gamma.values).max())
     eigs = [np.linalg.eigvalsh(h) for h in (h1, h2) if h.size]
     min_eig = min(e.min() for e in eigs)
     if min_eig > tol:
@@ -374,13 +375,17 @@ def moments_to_json(m) -> dict:
 
 def moments_from_json(payload: dict):
     """Parse the moment-file schema back into a container."""
+    if not isinstance(payload, dict):
+        raise ValueError("a moments file holds one JSON object")
     kind = payload.get("kind")
     if kind == "power":
         support = payload.get("support", "half_line")
         if support == "half_line":
             sup = Support.half_line()
-        else:
+        elif isinstance(support, list) and len(support) == 2:
             sup = Support.interval(float(support[0]), float(support[1]))
+        else:
+            raise ValueError(f'support must be "half_line" or [a, b], got {support!r}')
         values = np.asarray(payload["values"], dtype=float)
         if values.size == 0:
             raise ValueError("empty moment sequence")

@@ -59,24 +59,15 @@ class Quadrature:
             raise ValueError("weights must be positive")
 
 
-def build_quadrature(
-    a: float, b: float, count: int, rule: str = "gauss"
-) -> Quadrature:
-    """Composite midpoint or Gauss-Legendre rule mapped to [a, b]."""
+def build_quadrature(a: float, b: float, count: int) -> Quadrature:
+    """Gauss-Legendre rule of `count` nodes mapped to [a, b]."""
     if count < 2:
         raise ValueError("need at least two nodes")
     if b <= a:
         raise ValueError("interval must have positive length")
-    if rule == "midpoint":
-        h = (b - a) / count
-        nodes = a + (np.arange(count) + 0.5) * h
-        weights = np.full(count, h)
-    elif rule == "gauss":
-        x, w = np.polynomial.legendre.leggauss(count)
-        nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
-        weights = 0.5 * (b - a) * w
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
+    x, w = np.polynomial.legendre.leggauss(count)
+    nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
+    weights = 0.5 * (b - a) * w
     return Quadrature(nodes, weights, (float(a), float(b)))
 
 

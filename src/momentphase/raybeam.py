@@ -73,27 +73,19 @@ class RaySlice:
         }
 
 
-def pushforward_moments(
-    gamma: MultiMoments, y: RayDirection, order: int | None = None
-) -> np.ndarray:
-    """Power moments m_k of the projection x -> x . y.
+def pushforward_moments(gamma: MultiMoments, y: RayDirection) -> np.ndarray:
+    """Power moments m_0..m_n of the projection x -> x . y, n = gamma.order.
 
     m_k = integral (x . y)^k dmu = k! sum_{|alpha|=k} (y^alpha / alpha!)
     gamma_alpha, by the multinomial theorem.
     """
     if y.dimension != gamma.dimension:
         raise ValueError("direction dimension does not match the moments")
-    n = gamma.order if order is None else int(order)
-    if n > gamma.order:
-        raise ValueError(f"moments only available to total degree {gamma.order}")
     values = gamma.real_values()
     comps = np.asarray(y.components)
-    out = np.zeros(n + 1)
+    out = np.zeros(gamma.order + 1)
     for pos, alpha in enumerate(gamma.indices):
-        k = sum(alpha)
-        if k > n:
-            continue
-        out[k] += _multinomial(alpha) * np.prod(comps ** np.asarray(alpha)) * values[pos]
+        out[sum(alpha)] += _multinomial(alpha) * np.prod(comps ** np.asarray(alpha)) * values[pos]
     return out
 
 
@@ -136,7 +128,6 @@ def reconstruct_ray(
     tol: float = 1e-7,
     max_sweeps: int = 500_000,
     delta: float = 1.0,
-    pad_factor: int = 4,
 ) -> RaySlice:
     """Run the full per-ray pipeline for one direction.
 
@@ -165,11 +156,11 @@ def reconstruct_ray(
     xi = np.zeros(grid_size)
     xi[inside] = np.clip(density_on(sol, x[inside]), 0.0, 1.0)
     phase = grid.with_values(xi)
-    slice_ = radon_slice(phase, pad_factor=pad_factor)
+    slice_ = radon_slice(phase)
     return RaySlice(y, m, c, cutoff, phase, slice_, sol)
 
 
-def radon_slice(xi_star: GridFunction, pad_factor: int = 4) -> GridFunction:
+def radon_slice(xi_star: GridFunction) -> GridFunction:
     """Hyperplane-integral slice from a phase profile, on the same p0 grid.
 
     First the principal-value boundary trace f of the projected measure's
@@ -178,8 +169,8 @@ def radon_slice(xi_star: GridFunction, pad_factor: int = 4) -> GridFunction:
     transform's boundary average.  The phase must be compactly supported
     well inside the grid window so the decaying tails of f are captured.
     """
-    f = cauchy_boundary_avg(xi_star, pad_factor=pad_factor)
-    h = hilbert_line(f, pad_factor=pad_factor)
+    f = cauchy_boundary_avg(xi_star)
+    h = hilbert_line(f)
     return xi_star.with_values(-h.values / np.pi)
 
 

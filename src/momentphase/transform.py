@@ -40,6 +40,12 @@ __all__ = [
 PLEMELJ_EXP_SIGN = 1.0
 
 NEGATIVE_CLIP = -1e-8  # densities this slightly negative are zeroed silently
+RANGE_TOL = 1e-6  # phase samples may leave their range by this much before inversion fails
+
+# FFT length of the line transform over the grid size.  The kernel only
+# reaches lags below G, so any factor of two or more gives the same values
+# up to round-off; four is kept so written outputs do not change.
+LINE_FFT_FACTOR = 4
 
 
 class PhaseRangeError(ValueError):
@@ -122,24 +128,19 @@ def _line_kernel(max_lag: int, kernel: str) -> np.ndarray:
     raise ValueError(f"unknown line kernel {kernel!r}")
 
 
-def hilbert_line(
-    f: GridFunction, pad_factor: int = 4, kernel: str = "cell"
-) -> GridFunction:
+def hilbert_line(f: GridFunction, *, kernel: str = "cell") -> GridFunction:
     """Hilbert transform of a compactly supported function on an interval.
 
     The samples are treated as zero outside [a, b].  The discrete transform
     is a linear convolution with the analytic kernel of a sample interpolant
-    (see `_line_kernel`), evaluated through a zero-padded FFT whose length is
-    pad_factor * G.  Because the kernel is truncated to the alias-free lag
-    range, padding by two or more already makes the circular product equal
-    the exact linear convolution; the default of four leaves headroom.
+    (see `_line_kernel`), evaluated through a zero-padded FFT of length
+    LINE_FFT_FACTOR * G.  Because the kernel is truncated to the alias-free
+    lag range, that circular product equals the exact linear convolution.
     """
     if f.kind != "interval":
         raise ValueError("hilbert_line expects an interval grid")
-    if pad_factor < 2:
-        raise ValueError("pad_factor must be at least 2")
     g = f.size
-    n_fft = pad_factor * g
+    n_fft = LINE_FFT_FACTOR * g
     max_lag = n_fft - g  # largest lag free of circular aliasing
     k = _line_kernel(max_lag, kernel)
     conv = np.zeros(n_fft)
@@ -168,11 +169,11 @@ def hilbert_circle(f: GridFunction) -> GridFunction:
     return f.with_values(np.fft.irfft(spec, n=f.size))
 
 
-def _check_range(values: np.ndarray, lo: float, hi: float, tol: float) -> None:
-    if values.min() < lo - tol or values.max() > hi + tol:
+def _check_range(values: np.ndarray, lo: float, hi: float) -> None:
+    if values.min() < lo - RANGE_TOL or values.max() > hi + RANGE_TOL:
         raise PhaseRangeError(
             f"phase values in [{values.min():.3g}, {values.max():.3g}] "
-            f"exceed [{lo}, {hi}] beyond tolerance {tol}"
+            f"exceed [{lo}, {hi}] beyond tolerance {RANGE_TOL}"
         )
 
 
@@ -185,9 +186,7 @@ def _clip_density(rho: np.ndarray) -> np.ndarray:
     return np.maximum(rho, 0.0)
 
 
-def invert_line(
-    phi_star: GridFunction, pad_factor: int = 4, range_tol: float = 1e-6
-) -> GridFunction:
+def invert_line(phi_star: GridFunction) -> GridFunction:
     """Density on the line from its phase function, phi in [0, 1].
 
     rho(x) = (1/pi) exp[s pi H phi(x)] sin(pi phi(x)), s = PLEMELJ_EXP_SIGN.
@@ -197,8 +196,8 @@ def invert_line(
     """
     if phi_star.kind != "interval":
         raise ValueError("invert_line expects an interval grid")
-    _check_range(phi_star.values, 0.0, 1.0, range_tol)
-    h = hilbert_line(phi_star, pad_factor=pad_factor)
+    _check_range(phi_star.values, 0.0, 1.0)
+    h = hilbert_line(phi_star)
     rho = (
         np.exp(PLEMELJ_EXP_SIGN * np.pi * h.values)
         * np.sin(np.pi * np.clip(phi_star.values, 0.0, 1.0))
@@ -207,9 +206,7 @@ def invert_line(
     return phi_star.with_values(_clip_density(rho))
 
 
-def invert_circle(
-    phi_star: GridFunction, tau0: float, range_tol: float = 1e-6
-) -> GridFunction:
+def invert_circle(phi_star: GridFunction, tau0: float) -> GridFunction:
     """Density on the circle from its phase, phi in [0, pi].
 
     rho(theta) = tau0 (2 exp[H phi(theta)] sin phi(theta) - 1).
@@ -225,7 +222,7 @@ def invert_circle(
         raise ValueError("invert_circle expects a circle grid")
     if tau0 <= 0:
         raise ValueError("tau0 must be positive")
-    _check_range(phi_star.values, 0.0, np.pi, range_tol)
+    _check_range(phi_star.values, 0.0, np.pi)
     h = hilbert_circle(phi_star)
     rho = tau0 * (
         2.0 * np.exp(h.values) * np.sin(np.clip(phi_star.values, 0.0, np.pi)) - 1.0
@@ -233,9 +230,7 @@ def invert_circle(
     return phi_star.with_values(_clip_density(rho))
 
 
-def cauchy_boundary_avg(
-    xi: GridFunction, pad_factor: int = 4, range_tol: float = 1e-6
-) -> GridFunction:
+def cauchy_boundary_avg(xi: GridFunction) -> GridFunction:
     """Average of the two boundary limits of exp(C xi) - 1, xi in [0, 1].
 
     f(t) = exp[s pi H xi(t)] cos(pi xi(t)) - 1 with the same sign s as
@@ -245,8 +240,8 @@ def cauchy_boundary_avg(
     """
     if xi.kind != "interval":
         raise ValueError("cauchy_boundary_avg expects an interval grid")
-    _check_range(xi.values, 0.0, 1.0, range_tol)
-    h = hilbert_line(xi, pad_factor=pad_factor)
+    _check_range(xi.values, 0.0, 1.0)
+    h = hilbert_line(xi)
     f = (
         np.exp(PLEMELJ_EXP_SIGN * np.pi * h.values)
         * np.cos(np.pi * np.clip(xi.values, 0.0, 1.0))

@@ -184,7 +184,7 @@ def test_criterion_08_hilbert_operators():
     g, c = 1024, 0.5
     gf = GridFunction.on_interval(0.0, 1.0, np.zeros(g))
     x, h = gf.grid, gf.step
-    out = hilbert_line(gf.with_values((x < c).astype(float)), pad_factor=4)
+    out = hilbert_line(gf.with_values((x < c).astype(float)))
     exact = np.log(np.abs((c - x) / x)) / np.pi
     off = (np.abs(x) > 3 * h) & (np.abs(x - c) > 3 * h)
     step_err = float(np.max(np.abs(out.values - exact)[off]))
@@ -218,9 +218,7 @@ def test_criterion_08_hilbert_operators():
     bump = (3.0 - 6.0 * u**2 + u**4) * np.exp(-(u**2) / 2)
     bump /= np.max(np.abs(bump))
     twice_l = hilbert_line(
-        hilbert_line(gf.with_values(bump), pad_factor=4, kernel="spectral"),
-        pad_factor=4,
-        kernel="spectral",
+        hilbert_line(gf.with_values(bump), kernel="spectral"), kernel="spectral"
     )
     inv_line = float(np.max(np.abs(twice_l.values + bump)))
 

@@ -104,8 +104,15 @@ def test_skip_condition_negative_control(tmp_path):
             {"kind": "multi", "dimension": 1, "order": 2,
              "values": [[[0], 1.0], [[1], NAN], [[2], 0.1]]},
         ),
+        ("line", {"kind": "power", "support": [1.0], "values": [1, 0.5, 0.3]}),
+        ("line", [1.0, 0.5, 0.3]),
+        ("line", {"kind": "power", "support": "half_line", "values": [0.0, 0.0, 0.0]}),
+        ("polydisk", {"kind": "multi", "dimension": 1, "order": 2,
+                      "values": [[[0], -1.0], [[1], 0.5], [[2], 0.3]]}),
+        ("line", {"kind": "power", "support": "half_line", "values": [1.0, 0.5]}),
     ],
-    ids=["empty", "power-nan", "power-inf", "trig-inf", "multi-nan"],
+    ids=["empty", "power-nan", "power-inf", "trig-inf", "multi-nan", "one-bound", "list",
+         "line-zero-mass", "polydisk-negative-mass", "line-two-moments"],
 )
 def test_empty_moments_file_is_parse_error(tmp_path, pipeline, payload):
     path = write_json(tmp_path / "moments.json", payload)
@@ -122,7 +129,31 @@ def test_malformed_json_is_parse_error(tmp_path):
 
 def test_wrong_kind_for_pipeline_is_parse_error(tmp_path):
     path = write_json(tmp_path / "trig.json", {"kind": "trig", "values": [[0.5, 0.0]]})
-    assert main([path, "--pipeline", "line", "-o", str(tmp_path / "o")]) == EXIT_PARSE
+    out = tmp_path / "o"
+    assert main([path, "--pipeline", "line", "-o", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "order, directions",
+    [(2, [[1.0, 1.0], [1.0, 0.0]]), (1, [[1.0, 1.0]])],
+    ids=["zero-direction-component", "two-moments"],
+)
+def test_bad_ray_input_exits_before_output(tmp_path, order, directions):
+    values = [
+        [[i, j], 1.0 / ((i + 1) * (j + 1))]
+        for i in range(order + 1)
+        for j in range(order + 1 - i)
+    ]
+    path = write_json(
+        tmp_path / "square.json",
+        {"kind": "multi", "dimension": 2, "order": order, "values": values},
+    )
+    dirs = write_json(tmp_path / "dirs.json", directions)
+    out = tmp_path / "o"
+    code = main([path, "--pipeline", "raybeam", "--directions", dirs, "-o", str(out)])
+    assert code == EXIT_PARSE
+    assert not out.exists()
 
 
 def test_phase_range_violation_exits_4(tmp_path):
@@ -260,7 +291,9 @@ def test_raybeam_requires_directions(tmp_path):
          "values": [[[0, 0], 1.0], [[1, 0], 0.5], [[0, 1], 0.5], [[1, 1], 0.25],
                     [[2, 0], 0.33], [[0, 2], 0.33]]},
     )
-    assert main([path, "--pipeline", "raybeam", "-o", str(tmp_path / "o")]) == EXIT_PARSE
+    out = tmp_path / "o"
+    assert main([path, "--pipeline", "raybeam", "-o", str(out)]) == EXIT_PARSE
+    assert not out.exists()
 
 
 def test_outputs_are_deterministic(tmp_path):
@@ -308,7 +341,6 @@ def test_unknown_config_key_is_rejected(tmp_path):
     [
         ["--grid", "1000"],
         ["--grid", "1"],
-        ["--pad", "1"],
         ["--nodes", "1"],
         ["--tol", "-1"],
         ["--tol", "0"],
@@ -327,11 +359,28 @@ def test_bad_config_value_exits_before_output(tmp_path, flags):
     assert not out.exists()
 
 
+BAD_CONFIG_FILES = [
+    {"grid": "1024"},
+    {"window": [1.0]},
+    {"window": [-4.0, 12.0, 99.0]},
+    {"window": [5.0, 1.0]},
+    {"window": [-4.0, INF]},
+    {"window": "wide"},
+    {"span": -3},
+    {"span": NAN},
+    {"span": "1"},
+    {"pad": 4},
+    {"phase_support": [0.0, 1.0]},
+]
+
+
 def test_bad_config_file_value_exits_before_output(tmp_path):
-    cfg = write_json(tmp_path / "cfg.json", {"grid": "1024"})
-    out = tmp_path / "o"
-    assert main([dirac_line_file(tmp_path), "--config", cfg, "-o", str(out)]) == EXIT_PARSE
-    assert not out.exists()
+    moments = dirac_line_file(tmp_path)
+    for i, config in enumerate(BAD_CONFIG_FILES):
+        cfg = write_json(tmp_path / f"cfg{i}.json", config)
+        out = tmp_path / f"o{i}"
+        assert main([moments, "--config", cfg, "-o", str(out)]) == EXIT_PARSE, config
+        assert not out.exists(), config
 
 
 def test_missing_directions_file_exits_before_output(tmp_path):

@@ -29,26 +29,19 @@ UNIFORM_MU = np.array([1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 5])
 # ---------------------------------------------------------------------------
 
 
-def test_midpoint_two_cells():
-    q = build_quadrature(0.0, 1.0, 2, rule="midpoint")
-    assert np.allclose(q.nodes, [0.25, 0.75])
-    assert np.allclose(q.weights, [0.5, 0.5])
-
-
 def test_gauss_integrates_linear_exactly():
-    q = build_quadrature(0.0, 1.0, 2, rule="gauss")
+    q = build_quadrature(0.0, 1.0, 2)
     assert np.sum(q.weights * q.nodes) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_gauss_integrates_quartic():
-    q = build_quadrature(0.0, 1.0, 8, rule="gauss")
+    q = build_quadrature(0.0, 1.0, 8)
     assert np.sum(q.weights * q.nodes**4) == pytest.approx(0.2, abs=1e-10)
 
 
 def test_quadrature_weight_sum_is_length():
-    for rule in ("gauss", "midpoint"):
-        q = build_quadrature(-1.0, 3.0, 33, rule=rule)
-        assert np.sum(q.weights) == pytest.approx(4.0, abs=1e-10)
+    q = build_quadrature(-1.0, 3.0, 33)
+    assert np.sum(q.weights) == pytest.approx(4.0, abs=1e-10)
 
 
 def test_quadrature_rejects_tiny_count():

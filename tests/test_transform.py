@@ -86,11 +86,6 @@ def test_line_kernels_agree_on_smooth_data():
     assert np.max(np.abs(a.values)) > 0.3
 
 
-def test_line_pad_factor_validation():
-    with pytest.raises(ValueError):
-        hilbert_line(interval_grid(64), pad_factor=1)
-
-
 def test_grid_size_must_be_power_of_two():
     with pytest.raises(ValueError):
         GridFunction.on_interval(0.0, 1.0, np.zeros(100))

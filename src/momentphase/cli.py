@@ -371,6 +371,8 @@ def _run_raybeam(cfg, gamma: MultiMoments, outdir: Path, report: dict) -> int:
     with open(cfg["directions"], "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     directions = [RayDirection.of(d) for d in raw]
+    if not directions:
+        raise ValueError("the directions file lists no direction")
     slices = ray_sweep(
         gamma,
         directions,

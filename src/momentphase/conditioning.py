@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import FormalSeries, _positions, graded_indices, series_log
+from .series import FormalSeries, series_log
 
 __all__ = [
     "Support",
@@ -52,8 +52,8 @@ class Support:
         if self.kind not in ("half_line", "interval"):
             raise ValueError(f"unknown support kind {self.kind!r}")
         if self.kind == "interval":
-            if self.bounds is None or self.bounds[0] >= self.bounds[1]:
-                raise ValueError("interval support needs bounds (a, b) with a < b")
+            if self.bounds is None or not -math.inf < self.bounds[0] < self.bounds[1] < math.inf:
+                raise ValueError(f"interval support needs finite bounds a < b, got {self.bounds}")
         elif self.bounds is not None:
             raise ValueError("half_line support takes no bounds")
 
@@ -99,45 +99,22 @@ class TrigMoments:
         return self.values.size - 1
 
 
-@dataclass
-class MultiMoments:
+class MultiMoments(FormalSeries):
     """Moments gamma_alpha, |alpha| <= order, of a measure on R^d.
 
-    Stored densely over ``graded_indices(dimension, order)``.  Measure
-    moments are real; the container is complex because conditioned phase
-    moments (which reuse it) are genuinely complex.
+    The formal series sum_alpha gamma_alpha x^alpha: stored densely over
+    ``graded_indices(dimension, order)``, with `values` naming its
+    coefficients.  Measure moments are real; the container is complex
+    because conditioned phase moments (which reuse it) are genuinely complex.
     """
 
-    dimension: int
-    order: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(graded_indices(self.dimension, self.order))
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (n,):
-            raise ValueError(f"expected {n} moment entries, got {self.values.shape}")
-
-    @classmethod
-    def from_dict(
-        cls, dimension: int, order: int, entries: dict[tuple[int, ...], complex]
-    ) -> "MultiMoments":
-        s = FormalSeries.from_dict(dimension, order, entries)
-        return cls(dimension, order, s.coeff)
-
     @property
-    def indices(self) -> tuple[tuple[int, ...], ...]:
-        return graded_indices(self.dimension, self.order)
+    def values(self) -> np.ndarray:
+        return self.coeff
 
     @property
     def total_mass(self) -> float:
         return float(self.values[0].real)
-
-    def coefficient(self, index) -> complex:
-        key = tuple(int(i) for i in index)
-        if sum(key) > self.order:
-            return 0j
-        return complex(self.values[_positions(self.dimension, self.order)[key]])
 
     def real_values(self) -> np.ndarray:
         scale = max(1.0, np.abs(self.values).max())
@@ -189,17 +166,12 @@ def condition_circle(tau_mu: TrigMoments) -> TrigMoments:
     the input (the mean of the phase over the circle is fixed by the
     normalization of the exponential representation).
     """
-    values = np.asarray(tau_mu.values, dtype=complex)
-    tau0 = values[0]
+    tau0 = tau_mu.values[0]
     if abs(tau0.imag) > IMAG_TOL * max(1.0, abs(tau0)):
         raise ValueError("tau(0) must be real for a positive measure")
     if tau0.real <= 0:
         raise ValueError("tau(0) must be positive")
-    b = FormalSeries.constant(1, tau_mu.order, 1.0)
-    b.coeff[1:] = values[1:] / tau0.real
-    out = series_log(b).coeff / 2j
-    out[0] = np.pi / 2
-    return TrigMoments(out)
+    return TrigMoments(condition_polydisk(MultiMoments(1, tau_mu.order, tau_mu.values)).values)
 
 
 def condition_polydisk(a_mu: MultiMoments) -> MultiMoments:
@@ -284,9 +256,8 @@ def min_extension(gamma: PowerMoments) -> float:
     g = np.asarray(gamma.values, dtype=float)
     if g.size % 2 != 0:
         raise ValueError("min_extension needs an even number of moments (gamma_0..gamma_{2n-1})")
-    n = g.size // 2
-    a = np.array([[g[i + j] for j in range(n)] for i in range(n)])
-    b = g[n:]
+    a, _ = hankel_matrices(gamma)
+    b = g[g.size // 2 :]
     try:
         sol = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:

@@ -75,23 +75,21 @@ def build_quadrature(a: float, b: float, count: int) -> Quadrature:
 class BasisMatrix:
     """Row i holds basis function T_i evaluated at every quadrature node.
 
-    Row 0 is always the constant function carrying the mass constraint.  For
-    polynomial bases, `coeff_rows[i]` gives T_i in the monomial frame so the
-    density can be evaluated off the quadrature grid; the trigonometric basis
-    stores its mode layout instead.
+    Row 0 is always the constant function carrying the mass constraint.
+    `order` is the polynomial degree or the highest trigonometric mode; the
+    rows themselves come from `rows_at`, at the quadrature nodes for
+    `values` and at any points for sampling the density.  For polynomial
+    bases, `coeff_rows[i]` gives T_i in the monomial frame.
     """
 
-    values: np.ndarray
     kind: str  # "monomial" | "legendre" | "trigonometric"
     quadrature: Quadrature
+    order: int
     coeff_rows: np.ndarray | None = field(default=None, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("basis matrix must be 2-D")
-        if self.values.shape[1] != self.quadrature.nodes.size:
-            raise ValueError("basis columns must match quadrature nodes")
+        self.values = self.rows_at(self.quadrature.nodes)
 
     @property
     def n_rows(self) -> int:
@@ -101,14 +99,13 @@ class BasisMatrix:
         """Basis rows evaluated at arbitrary points."""
         points = np.asarray(points, dtype=float)
         if self.kind in ("monomial", "legendre"):
-            powers = np.vander(points, N=self.n_rows, increasing=True).T
+            powers = np.vander(points, N=self.order + 1, increasing=True).T
             if self.kind == "monomial":
                 return powers
             return self.coeff_rows @ powers
-        # trigonometric: rows 1, cos(k.), sin(k.) for k = 1..M
-        m = (self.n_rows - 1) // 2
+        # trigonometric: rows 1, cos(k.), sin(k.) for k = 1..order
         rows = [np.ones_like(points)]
-        for k in range(1, m + 1):
+        for k in range(1, self.order + 1):
             rows.append(np.cos(k * points))
             rows.append(np.sin(k * points))
         return np.vstack(rows)
@@ -116,8 +113,7 @@ class BasisMatrix:
 
 def monomial_basis(quad: Quadrature, order: int) -> BasisMatrix:
     """Rows 1, x, ..., x^order at the quadrature nodes."""
-    vals = np.vander(quad.nodes, N=order + 1, increasing=True).T
-    return BasisMatrix(vals, "monomial", quad, coeff_rows=np.eye(order + 1))
+    return BasisMatrix("monomial", quad, order, coeff_rows=np.eye(order + 1))
 
 
 def legendre_basis(quad: Quadrature, order: int) -> BasisMatrix:
@@ -136,17 +132,12 @@ def legendre_basis(quad: Quadrature, order: int) -> BasisMatrix:
         leg[i] = 1.0
         poly = np.polynomial.Polynomial(np.polynomial.legendre.leg2poly(leg))(affine)
         coeff_rows[i, : poly.coef.size] = poly.coef
-    vals = coeff_rows @ np.vander(quad.nodes, N=order + 1, increasing=True).T
-    return BasisMatrix(vals, "legendre", quad, coeff_rows=coeff_rows)
+    return BasisMatrix("legendre", quad, order, coeff_rows=coeff_rows)
 
 
 def trig_basis(quad: Quadrature, max_mode: int) -> BasisMatrix:
     """Rows 1, cos(k.), sin(k.) for k = 1..max_mode."""
-    rows = [np.ones_like(quad.nodes)]
-    for k in range(1, max_mode + 1):
-        rows.append(np.cos(k * quad.nodes))
-        rows.append(np.sin(k * quad.nodes))
-    return BasisMatrix(np.vstack(rows), "trigonometric", quad)
+    return BasisMatrix("trigonometric", quad, max_mode)
 
 
 def circle_quadrature(count: int) -> Quadrature:
@@ -222,17 +213,25 @@ class DualSolution:
         }
 
 
+def _clamped_exp(s: np.ndarray) -> tuple[np.ndarray, bool]:
+    """exp(s) with exponents clamped at EXP_CLAMP, and whether the clamp fired.
+
+    The clamp keeps runaway duals finite; below it the values are exp(s)
+    exactly.
+    """
+    clipped = bool((s > EXP_CLAMP).any())
+    return np.exp(np.minimum(s, EXP_CLAMP) if clipped else s), clipped
+
+
 def primal_eval(
     alpha: np.ndarray, basis: BasisMatrix
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Density p_j = exp[(A^T alpha)_j - 1] and its weighted version.
 
-    Exponents are clamped at EXP_CLAMP to keep runaway duals finite; the
-    returned flag reports whether clamping fired.
+    Exponents are clamped at EXP_CLAMP; the returned flag reports whether
+    clamping fired.
     """
-    s = basis.values.T @ np.asarray(alpha, dtype=float) - 1.0
-    clipped = bool(np.any(s > EXP_CLAMP))
-    p = np.exp(np.minimum(s, EXP_CLAMP))
+    p, clipped = _clamped_exp(basis.values.T @ np.asarray(alpha, dtype=float) - 1.0)
     return basis.quadrature.weights * p, p, clipped
 
 
@@ -257,9 +256,10 @@ def fime_solve(
     Each step picks the next row cyclically and shifts its dual by
     log(mu'_i / moment'_i).  The stopping rule is the unconditioned residual
     |A ptilde - mu| < tol, measured on the caller's original moment scale.
-    `max_sweeps` counts individual coordinate updates; exhausting them
-    returns converged=False rather than raising, because stalling is how
-    infeasible (singular-measure) inputs manifest.
+    `max_sweeps` (at least one) counts individual coordinate updates;
+    exhausting them returns converged=False rather than raising, because
+    stalling is how infeasible (singular-measure) inputs manifest.  The
+    reported residual is the one the last sweep stopped on.
 
     Moments are normalized by the mass entry mu_0 internally; the returned
     alpha is mapped back to the caller's basis rows and scale.
@@ -269,6 +269,8 @@ def fime_solve(
         raise ValueError("moment vector must match basis rows")
     if mu[0] <= 0:
         raise ValueError("mass entry mu_0 must be positive")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be at least 1")
     mu0 = mu[0]
     mu_hat = mu / mu0
     a_prime, mu_prime, meta = precondition(basis.values, mu_hat, delta)
@@ -288,15 +290,11 @@ def fime_solve(
         return out
 
     k = 0
-    res_norm = np.inf
     while k < max_sweeps:
         for i in range(n_rows):
-            exponent = s - 1.0
-            if exponent.max() > EXP_CLAMP:
-                clipped = True
-                exponent = np.minimum(exponent, EXP_CLAMP)
-            ptilde = weights * np.exp(exponent)
-            lam = np.log(mu_prime[i] / (a_prime[i] @ ptilde))
+            p, fired = _clamped_exp(s - 1.0)
+            clipped |= fired
+            lam = np.log(mu_prime[i] / (a_prime[i] @ (weights * p)))
             alpha[i] += lam
             s += lam * a_prime[i]
             k += 1
@@ -304,13 +302,12 @@ def fime_solve(
                 break
         # stop on the same residual that is reported: the unconditioned
         # moment mismatch of the unwound dual, on the caller's scale
-        _, res_norm = constraint_residual(to_native(alpha), basis, mu)
+        alpha_native = to_native(alpha)
+        _, res_norm = constraint_residual(alpha_native, basis, mu)
         if res_norm < tol:
             break
         s = a_prime.T @ alpha  # refresh against incremental drift
 
-    alpha_native = to_native(alpha)
-    _, res_norm = constraint_residual(alpha_native, basis, mu)
     converged = res_norm < tol
     if clipped:
         warnings.warn("primal exponent clamped during dual ascent", RuntimeWarning)
@@ -380,5 +377,4 @@ def solve_trig_moments(
 def density_on(solution: DualSolution, points: np.ndarray) -> np.ndarray:
     """Evaluate the solved density at arbitrary points of its domain."""
     rows = solution.basis.rows_at(np.asarray(points, dtype=float))
-    s = rows.T @ solution.alpha - 1.0
-    return np.exp(np.minimum(s, EXP_CLAMP))
+    return _clamped_exp(rows.T @ solution.alpha - 1.0)[0]

@@ -39,8 +39,8 @@ class RayDirection:
     components: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.components) < 1 or any(c <= 0 for c in self.components):
-            raise ValueError("direction components must all be positive")
+        if len(self.components) < 1 or not all(0 < c < math.inf for c in self.components):
+            raise ValueError(f"direction components must be positive and finite: {self.components}")
 
     @classmethod
     def of(cls, y) -> "RayDirection":

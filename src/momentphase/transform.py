@@ -186,6 +186,16 @@ def _clip_density(rho: np.ndarray) -> np.ndarray:
     return np.maximum(rho, 0.0)
 
 
+def _line_boundary(phase: GridFunction, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """Modulus exp[s pi H phase] and argument pi phase of the line's boundary
+    value of exp(C phase), for a phase in [0, 1] on an interval grid."""
+    if phase.kind != "interval":
+        raise ValueError(f"{caller} expects an interval grid")
+    _check_range(phase.values, 0.0, 1.0)
+    h = hilbert_line(phase)
+    return np.exp(PLEMELJ_EXP_SIGN * np.pi * h.values), np.pi * np.clip(phase.values, 0.0, 1.0)
+
+
 def invert_line(phi_star: GridFunction) -> GridFunction:
     """Density on the line from its phase function, phi in [0, 1].
 
@@ -194,16 +204,8 @@ def invert_line(phi_star: GridFunction) -> GridFunction:
     collapses to this closed form; where the phase hits 1 the sine vanishes
     and a unit point mass leaves no absolutely continuous trace.
     """
-    if phi_star.kind != "interval":
-        raise ValueError("invert_line expects an interval grid")
-    _check_range(phi_star.values, 0.0, 1.0)
-    h = hilbert_line(phi_star)
-    rho = (
-        np.exp(PLEMELJ_EXP_SIGN * np.pi * h.values)
-        * np.sin(np.pi * np.clip(phi_star.values, 0.0, 1.0))
-        / np.pi
-    )
-    return phi_star.with_values(_clip_density(rho))
+    modulus, arg = _line_boundary(phi_star, "invert_line")
+    return phi_star.with_values(_clip_density(modulus * np.sin(arg) / np.pi))
 
 
 def invert_circle(phi_star: GridFunction, tau0: float) -> GridFunction:
@@ -238,16 +240,8 @@ def cauchy_boundary_avg(xi: GridFunction) -> GridFunction:
     measure's transform on the support axis; feeding it through one more
     Hilbert transform yields hyperplane-integral slices (see raybeam).
     """
-    if xi.kind != "interval":
-        raise ValueError("cauchy_boundary_avg expects an interval grid")
-    _check_range(xi.values, 0.0, 1.0)
-    h = hilbert_line(xi)
-    f = (
-        np.exp(PLEMELJ_EXP_SIGN * np.pi * h.values)
-        * np.cos(np.pi * np.clip(xi.values, 0.0, 1.0))
-        - 1.0
-    )
-    return xi.with_values(f)
+    modulus, arg = _line_boundary(xi, "cauchy_boundary_avg")
+    return xi.with_values(modulus * np.cos(arg) - 1.0)
 
 
 # ----------------------------------------------------------------------------

@@ -110,9 +110,12 @@ def test_skip_condition_negative_control(tmp_path):
         ("polydisk", {"kind": "multi", "dimension": 1, "order": 2,
                       "values": [[[0], -1.0], [[1], 0.5], [[2], 0.3]]}),
         ("line", {"kind": "power", "support": "half_line", "values": [1.0, 0.5]}),
+        ("line", {"kind": "power", "support": [NAN, 1.0], "values": [1, 0.5, 0.3]}),
+        ("line", {"kind": "power", "support": [0.0, INF], "values": [1, 0.5, 0.3]}),
     ],
     ids=["empty", "power-nan", "power-inf", "trig-inf", "multi-nan", "one-bound", "list",
-         "line-zero-mass", "polydisk-negative-mass", "line-two-moments"],
+         "line-zero-mass", "polydisk-negative-mass", "line-two-moments", "support-nan",
+         "support-inf"],
 )
 def test_empty_moments_file_is_parse_error(tmp_path, pipeline, payload):
     path = write_json(tmp_path / "moments.json", payload)
@@ -136,8 +139,15 @@ def test_wrong_kind_for_pipeline_is_parse_error(tmp_path):
 
 @pytest.mark.parametrize(
     "order, directions",
-    [(2, [[1.0, 1.0], [1.0, 0.0]]), (1, [[1.0, 1.0]])],
-    ids=["zero-direction-component", "two-moments"],
+    [
+        (2, [[1.0, 1.0], [1.0, 0.0]]),
+        (1, [[1.0, 1.0]]),
+        (2, [[NAN, 1.0]]),
+        (2, [[INF, 1.0]]),
+        (2, []),
+    ],
+    ids=["zero-direction-component", "two-moments", "nan-direction-component",
+         "inf-direction-component", "no-directions"],
 )
 def test_bad_ray_input_exits_before_output(tmp_path, order, directions):
     values = [

@@ -416,6 +416,14 @@ def test_multi_json_round_trip():
     assert np.array_equal(back.values, m.values)
 
 
+@pytest.mark.parametrize(
+    "bounds", [(float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0), (1.0, 1.0)]
+)
+def test_interval_support_needs_finite_ordered_bounds(bounds):
+    with pytest.raises(ValueError, match="finite bounds"):
+        Support.interval(*bounds)
+
+
 def test_json_rejects_garbage():
     with pytest.raises(ValueError):
         moments_from_json({"kind": "power", "support": "half_line", "values": []})

@@ -164,6 +164,36 @@ def test_mass_only_constraint_gives_uniform():
     assert np.max(np.abs(p - 1.0)) < 1e-10
 
 
+def test_runaway_dual_is_clamped_and_reported():
+    # unit mass on an interval of length 1e-305 needs a density near 1e305,
+    # past exp(EXP_CLAMP): the exponent is clamped, the solver warns once
+    # and stalls, and the sampled density stays finite at exp(700)
+    basis = monomial_basis(build_quadrature(0.0, 1e-305, 2), 0)
+    with pytest.warns(RuntimeWarning, match="primal exponent clamped") as record:
+        sol = fime_solve(basis, np.array([1.0]), max_sweeps=50)
+    clamp_warnings = [w for w in record if "primal exponent clamped" in str(w.message)]
+    assert len(clamp_warnings) == 1
+    assert sol.clipped
+    assert not sol.converged
+    value = density_on(sol, np.array([0.0]))
+    assert np.all(np.isfinite(value))
+    assert value[0] == pytest.approx(math.exp(700.0), rel=1e-12)
+
+
+def test_reported_residual_is_that_of_returned_dual():
+    basis = legendre_basis(build_quadrature(0.0, 1.0, 101), 4)
+    mu = basis.coeff_rows @ UNIFORM_MU
+    for budget in (7, 5_000):
+        sol = fime_solve(basis, mu, tol=1e-12, max_sweeps=budget)
+        assert sol.residual_norm == constraint_residual(sol.alpha, basis, mu)[1]
+
+
+def test_fime_rejects_empty_budget():
+    basis = monomial_basis(build_quadrature(0.0, 1.0, 8), 1)
+    with pytest.raises(ValueError, match="max_sweeps"):
+        fime_solve(basis, np.array([1.0, 0.5]), max_sweeps=0)
+
+
 def test_dirac_moments_do_not_converge():
     sol = solve_power_moments(
         np.array([1.0, 0.0, 0.0, 0.0]),

@@ -74,6 +74,9 @@ def test_direction_must_be_interior():
         RayDirection.of([1.0, 0.0])
     with pytest.raises(ValueError):
         RayDirection.of([1.0, -0.5])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            RayDirection.of([bad, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -82,13 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="which reconstruction pipeline to run",
     )
     p.add_argument("--grid", type=int, default=None, help="output grid size (power of two)")
-    p.add_argument("--tol", type=float, default=None, help="maxent residual tolerance")
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        help="maxent residual tolerance, on the quadrature and on a rule with one more node",
+    )
     p.add_argument(
         "--max-sweeps",
         type=int,
         default=None,
         dest="max_sweeps",
-        help="maxent budget in coordinate updates",
+        help="maxent budget in Newton steps plus coordinate updates",
     )
     p.add_argument("--delta", type=float, default=None, help="preconditioning offset")
     p.add_argument("--nodes", type=int, default=None, help="quadrature node count")

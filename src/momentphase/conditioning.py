@@ -154,7 +154,7 @@ def condition_line(a_mu: PowerMoments) -> PowerMoments:
     b = FormalSeries.constant(1, values.size, 1.0)
     b.coeff[1:] = -values
     # a real series has a real logarithm, so .real drops only zeros
-    return PowerMoments(-series_log(b).coeff[1:].real, Support.half_line())
+    return PowerMoments(-_finite_log(b).coeff[1:].real, Support.half_line())
 
 
 def condition_circle(tau_mu: TrigMoments) -> TrigMoments:
@@ -190,9 +190,19 @@ def condition_polydisk(a_mu: MultiMoments) -> MultiMoments:
     gamma = a_mu.values
     for pos, alpha in enumerate(a_mu.indices[1:], start=1):
         b.coeff[pos] = _multinomial(alpha) * gamma[pos] / mass
-    out = series_log(b).coeff / 2j
+    out = _finite_log(b).coeff / 2j
     out[0] = np.pi / 2
     return MultiMoments(d, n, out)
+
+
+def _finite_log(b: FormalSeries) -> FormalSeries:
+    """`series_log(b)`, refusing a logarithm that overflowed: moments so
+    large that their phase moments leave the floating-point range are no
+    input any later step could use."""
+    out = series_log(b)
+    if not np.all(np.isfinite(out.coeff)):
+        raise ValueError("conditioned moments overflow the floating-point range")
+    return out
 
 
 def _multinomial(alpha: tuple[int, ...]) -> int:

@@ -1,11 +1,15 @@
-"""Discretized maximum-entropy reconstruction by cyclic dual ascent.
+"""Discretized maximum-entropy reconstruction by Newton-started dual ascent.
 
 The density is an exponential family p_j = exp[(A^T alpha)_j - 1] on a fixed
-quadrature; moments are matrix products against the weighted density.  Dual
-variables are updated one at a time with the multiplicative correction
-lambda = log(mu_i / moment_i(alpha)), which converges once the problem has
-been preconditioned so that basis values sit in (0, 1) and targets are
-positive.  Non-convergence is a meaningful outcome, not an error: moment
+quadrature; moments are matrix products against the weighted density.  The
+problem is first preconditioned so that basis values sit in (0, 1) and
+targets are positive.  Damped Newton steps on the convex dual then start
+the solve; if they stop short, dual variables are updated one at a time with
+the multiplicative correction lambda = log(mu_i / moment_i(alpha)).  The
+budget counts Newton steps plus coordinate updates.  A solve converges only
+when the moment residual is below tolerance on the quadrature and on a rule
+with one more node, so a spike on quadrature nodes never passes for a
+density.  Non-convergence is a meaningful outcome, not an error: moment
 sequences of singular measures admit no exponential-family density and the
 iteration stalls on them by design.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +43,9 @@ __all__ = [
 ]
 
 EXP_CLAMP = 700.0  # exp() overflows just above this for float64
+NEWTON_MAX_STEPS = 300  # Newton steps before the coordinate ascent takes over
+ARMIJO_FRACTION = 1e-4  # share of the predicted decrease a Newton step must achieve
+MAX_HALVINGS = 50  # step halvings before the line search gives up
 
 
 @dataclass
@@ -59,13 +67,26 @@ class Quadrature:
             raise ValueError("weights must be positive")
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+
+    `leggauss` solves an eigenvalue problem; every interval of the same
+    node count shares its one solution.
+    """
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def build_quadrature(a: float, b: float, count: int) -> Quadrature:
     """Gauss-Legendre rule of `count` nodes mapped to [a, b]."""
     if count < 2:
         raise ValueError("need at least two nodes")
     if b <= a:
         raise ValueError("interval must have positive length")
-    x, w = np.polynomial.legendre.leggauss(count)
+    x, w = _gauss_legendre(count)
     nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
     weights = 0.5 * (b - a) * w
     return Quadrature(nodes, weights, (float(a), float(b)))
@@ -244,6 +265,79 @@ def constraint_residual(
     return h, float(np.linalg.norm(h))
 
 
+def _check_residual(alpha: np.ndarray, basis: BasisMatrix, mu: np.ndarray) -> float:
+    """Moment mismatch of the density of `alpha` on a rule with one more node.
+
+    Gauss-Legendre with one more node on the same interval, or a uniform
+    circle grid with one more point for the trigonometric basis.  A real
+    density integrates alike on both rules; a spike on solver nodes does
+    not, because the new rule's nodes fall between the old ones.
+    """
+    quad = basis.quadrature
+    count = quad.nodes.size + 1
+    if basis.kind == "trigonometric":
+        check = circle_quadrature(count)
+    else:
+        check = build_quadrature(quad.interval[0], quad.interval[1], count)
+    rows = basis.rows_at(check.nodes)
+    p, _ = _clamped_exp(rows.T @ alpha - 1.0)
+    return float(np.linalg.norm(rows @ (check.weights * p) - mu))
+
+
+def _newton(
+    a_prime: np.ndarray,
+    mu_prime: np.ndarray,
+    weights: np.ndarray,
+    max_steps: int,
+    stop,
+) -> tuple[np.ndarray, int, tuple[float, bool]]:
+    """Damped Newton descent of the preconditioned dual from the origin.
+
+    D(a) = sum_j w_j exp((A'^T a)_j - 1) - a . mu' has gradient
+    A' (w p) - mu' and Hessian A' diag(w p) A'^T.  Steps are halved until
+    they meet the Armijo condition; a trial point that fires the exponent
+    clamp, or moves an exponent by more than EXP_CLAMP, fails it.  The
+    descent ends when `stop(a)` -> (residual, passed) passes, when no
+    halving is accepted, when the Hessian is singular or the step
+    non-finite, or after `max_steps` accepted steps.  Returns the last
+    accepted point, the number of steps and its `stop` value.
+    """
+    alpha = np.zeros(mu_prime.size)
+    s = np.zeros(weights.size)  # exponents A'^T alpha
+    wp = weights * np.exp(-1.0)
+    status = stop(alpha)
+    steps = 0
+    while steps < max_steps and not status[1]:
+        grad = a_prime @ wp - mu_prime
+        try:
+            step = -np.linalg.solve((a_prime * wp) @ a_prime.T, grad)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):
+            break
+        ds = a_prime.T @ step
+        slope = float(grad @ step)
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            shift = t * ds
+            p, fired = _clamped_exp(s + shift - 1.0)
+            # D(alpha + t step) - D(alpha), by expm1 so that a decrease far
+            # below the size of D itself still resolves
+            if not fired and shift.max() <= EXP_CLAMP:
+                change = float(wp @ np.expm1(shift)) - t * float(step @ mu_prime)
+                if change <= ARMIJO_FRACTION * t * slope:
+                    break
+            t *= 0.5
+        else:
+            break
+        alpha = alpha + t * step
+        s = s + t * ds
+        wp = weights * p
+        steps += 1
+        status = stop(alpha)
+    return alpha, steps, status
+
+
 def fime_solve(
     basis: BasisMatrix,
     mu: np.ndarray,
@@ -251,15 +345,24 @@ def fime_solve(
     max_sweeps: int = 100_000,
     delta: float = 1.0,
 ) -> DualSolution:
-    """Cyclic multiplicative dual ascent on the preconditioned problem.
+    """Newton-started cyclic multiplicative dual ascent.
 
-    Each step picks the next row cyclically and shifts its dual by
-    log(mu'_i / moment'_i).  The stopping rule is the unconditioned residual
-    |A ptilde - mu| < tol, measured on the caller's original moment scale.
-    `max_sweeps` (at least one) counts individual coordinate updates;
-    exhausting them returns converged=False rather than raising, because
-    stalling is how infeasible (singular-measure) inputs manifest.  The
-    reported residual is the one the last sweep stopped on.
+    Both phases work on the preconditioned problem.  A damped Newton method
+    (`_newton`) runs first, for at most NEWTON_MAX_STEPS steps.  If it stops
+    short of the stopping rule, cyclic ascent continues from its last
+    point: each step picks the next row cyclically and shifts its dual by
+    log(mu'_i / moment'_i).
+
+    The stopping rule is the unconditioned residual |A ptilde - mu| < tol,
+    measured on the caller's original moment scale, on the basis's own
+    quadrature and again on a rule with one more node (`_check_residual`).
+    The second rule refuses a spike on a few quadrature nodes, which can
+    match the moments of a point mass sitting on a node; if Newton ends on
+    such a spike, the ascent restarts at the origin.  `max_sweeps` (at least
+    one) counts Newton steps plus individual coordinate updates; exhausting
+    them returns converged=False rather than raising, because stalling is
+    how infeasible (singular-measure) inputs manifest.  The reported
+    residual is the main-rule value of the returned dual.
 
     Moments are normalized by the mass entry mu_0 internally; the returned
     alpha is mapped back to the caller's basis rows and scale.
@@ -277,10 +380,6 @@ def fime_solve(
     n_rows = basis.n_rows
     weights = basis.quadrature.weights
 
-    alpha = np.zeros(n_rows)
-    s = a_prime.T @ alpha
-    clipped = False
-
     def to_native(a: np.ndarray) -> np.ndarray:
         # unwind the affine preconditioning and the mass normalization:
         # (A'^T a)_j = sum_i t_i a_i a_ij + sum_i t_i u_i a_i, and scaling
@@ -289,29 +388,38 @@ def fime_solve(
         out[0] += float(np.sum(a * meta.factors * meta.offsets)) + np.log(mu0)
         return out
 
-    k = 0
-    while k < max_sweeps:
-        for i in range(n_rows):
-            p, fired = _clamped_exp(s - 1.0)
-            clipped |= fired
-            lam = np.log(mu_prime[i] / (a_prime[i] @ (weights * p)))
-            alpha[i] += lam
-            s += lam * a_prime[i]
-            k += 1
-            if k >= max_sweeps:
-                break
-        # stop on the same residual that is reported: the unconditioned
-        # moment mismatch of the unwound dual, on the caller's scale
-        alpha_native = to_native(alpha)
-        _, res_norm = constraint_residual(alpha_native, basis, mu)
-        if res_norm < tol:
-            break
-        s = a_prime.T @ alpha  # refresh against incremental drift
+    def stop(a: np.ndarray) -> tuple[float, bool]:
+        # main-rule residual of the unwound dual, and whether both rules pass
+        native = to_native(a)
+        _, res = constraint_residual(native, basis, mu)
+        return res, res < tol and _check_residual(native, basis, mu) < tol
 
-    converged = res_norm < tol
+    alpha, k, (res_norm, converged) = _newton(
+        a_prime, mu_prime, weights, min(NEWTON_MAX_STEPS, max_sweeps), stop
+    )
+    clipped = False
+    if not converged and k < max_sweeps:
+        if res_norm < tol:  # a node spike: start the ascent afresh
+            alpha = np.zeros(n_rows)
+        s = a_prime.T @ alpha
+        while k < max_sweeps:
+            for i in range(n_rows):
+                p, fired = _clamped_exp(s - 1.0)
+                clipped |= fired
+                lam = np.log(mu_prime[i] / (a_prime[i] @ (weights * p)))
+                alpha[i] += lam
+                s += lam * a_prime[i]
+                k += 1
+                if k >= max_sweeps:
+                    break
+            res_norm, converged = stop(alpha)
+            if converged:
+                break
+            s = a_prime.T @ alpha  # refresh against incremental drift
+
     if clipped:
         warnings.warn("primal exponent clamped during dual ascent", RuntimeWarning)
-    return DualSolution(alpha_native, converged, k, res_norm, basis, clipped)
+    return DualSolution(to_native(alpha), converged, k, res_norm, basis, clipped)
 
 
 def solve_power_moments(

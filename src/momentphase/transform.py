@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,6 +129,22 @@ def _line_kernel(max_lag: int, kernel: str) -> np.ndarray:
     raise ValueError(f"unknown line kernel {kernel!r}")
 
 
+@lru_cache(maxsize=8)
+def _line_kernel_spectrum(g: int, kernel: str) -> np.ndarray:
+    """Read-only rfft of the correlation kernel `hilbert_line` applies to a
+    grid of size g, zero-padded to LINE_FFT_FACTOR * g; fixed by (g, kernel),
+    so every transform on that grid reuses it."""
+    n_fft = LINE_FFT_FACTOR * g
+    max_lag = n_fft - g  # largest lag free of circular aliasing
+    k = _line_kernel(max_lag, kernel)
+    conv = np.zeros(n_fft)
+    conv[1 : max_lag + 1] = -k  # H(x_i) = sum_j f_j k(j - i): correlate
+    conv[n_fft - 1 : n_fft - max_lag - 1 : -1] = k
+    spectrum = np.fft.rfft(conv)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
 def hilbert_line(f: GridFunction, *, kernel: str = "cell") -> GridFunction:
     """Hilbert transform of a compactly supported function on an interval.
 
@@ -141,14 +158,9 @@ def hilbert_line(f: GridFunction, *, kernel: str = "cell") -> GridFunction:
         raise ValueError("hilbert_line expects an interval grid")
     g = f.size
     n_fft = LINE_FFT_FACTOR * g
-    max_lag = n_fft - g  # largest lag free of circular aliasing
-    k = _line_kernel(max_lag, kernel)
-    conv = np.zeros(n_fft)
-    conv[1 : max_lag + 1] = -k  # H(x_i) = sum_j f_j k(j - i): correlate
-    conv[n_fft - 1 : n_fft - max_lag - 1 : -1] = k
     padded = np.zeros(n_fft)
     padded[:g] = f.values
-    out = np.fft.irfft(np.fft.rfft(padded) * np.fft.rfft(conv), n=n_fft)
+    out = np.fft.irfft(np.fft.rfft(padded) * _line_kernel_spectrum(g, kernel), n=n_fft)
     return f.with_values(out[:g])
 
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from momentphase import maxent
 from momentphase.maxent import (
+    BasisMatrix,
     build_quadrature,
     circle_quadrature,
     constraint_residual,
@@ -20,6 +22,7 @@ from momentphase.maxent import (
     solve_trig_moments,
     trig_basis,
 )
+from momentphase.raybeam import support_cutoff
 
 UNIFORM_MU = np.array([1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 5])
 
@@ -205,6 +208,53 @@ def test_dirac_moments_do_not_converge():
     assert not sol.converged
     assert sol.iterations == 30_000
     assert sol.residual_norm > 1e-4
+
+
+@pytest.mark.parametrize("node_count", [101, 201, 301, 1001])
+def test_dirac_moments_do_not_converge_at_any_node_count(node_count):
+    sol = solve_power_moments(
+        np.array([1.0, 0.0, 0.0, 0.0]),
+        (0.0, 1.0),
+        node_count=node_count,
+        tol=1e-8,
+        max_sweeps=2_000,
+    )
+    assert not sol.converged
+    assert sol.iterations == 2_000
+
+
+def test_point_mass_on_a_node_is_refused_by_the_check_rule(monkeypatch):
+    # raw moments of a point mass at the centre of a window symmetric about
+    # it: on an odd Gauss rule the centre is a node, so a spike there
+    # matches the moments on the solver's own rule.  Only the rule with one
+    # more node tells the spike from a density.
+    x0, mass, tol = 0.2703, 0.5003, 1e-7
+    mu = mass * x0 ** np.arange(5)
+    hi = support_cutoff(mu, span=1.0)
+    lo = 2 * x0 - hi
+    main_rule = []
+
+    def recorded(alpha, basis, target):
+        h, norm = constraint_residual(alpha, basis, target)
+        main_rule.append(norm)
+        return h, norm
+
+    monkeypatch.setattr(maxent, "constraint_residual", recorded)
+    sol = solve_power_moments(mu, (lo, hi), node_count=301, tol=tol, max_sweeps=100_000)
+    assert not sol.converged
+    assert sol.iterations == 100_000
+    assert min(main_rule) < tol
+
+
+def test_singular_hessian_hands_the_budget_to_coordinate_ascent():
+    # two identical rows make the Newton system exactly singular; that ends
+    # the Newton phase instead of escaping as LinAlgError (a ValueError)
+    q = build_quadrature(0.0, 1.0, 64)
+    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    basis = BasisMatrix("legendre", q, 2, coeff_rows=rows)
+    sol = fime_solve(basis, np.array([1.0, 0.5, 0.5]), tol=1e-10, max_sweeps=2_000)
+    assert sol.iterations == 2_000
+    assert np.isfinite(sol.residual_norm)
 
 
 def test_solution_scales_with_mass():

@@ -191,6 +191,7 @@ def test_slice_rescales_with_direction():
     y2 = RayDirection.of([2.0, 2.0])
     r1 = reconstruct_ray(gamma, y, grid_size=4096, tol=1e-7, max_sweeps=400_000, delta=0.1)
     r2 = reconstruct_ray(gamma, y2, grid_size=4096, tol=1e-7, max_sweeps=400_000, delta=0.1)
+    assert r1.solution.converged and r2.solution.converged
     p1 = r1.radon_values.grid[np.argmax(r1.radon_values.values)]
     p2 = r2.radon_values.grid[np.argmax(r2.radon_values.values)]
     assert abs(p2 - 2.0 * p1) <= 2.0 * (r1.radon_values.step + r2.radon_values.step)
@@ -210,6 +211,7 @@ def test_sweep_preserves_direction_order_and_matches_serial():
     assert [s.direction.components for s in swept] == [
         RayDirection.of(d).components for d in dirs
     ]
+    assert all(s.solution.converged for s in swept)
     serial = [reconstruct_ray(gamma, RayDirection.of(d), **kwargs) for d in dirs]
     for a, b in zip(swept, serial):
         assert np.array_equal(a.radon_values.values, b.radon_values.values)

@@ -1,9 +1,10 @@
 """Command-line driver: moments file in, densities and diagnostics out.
 
 Exit codes are part of the contract so harnesses can assert on them:
-0 success, 2 unreadable/invalid input, 3 maximum-entropy non-convergence
-(the expected outcome when raw singular-measure moments bypass
-conditioning), 4 phase values out of range at inversion time.
+0 success, 2 unreadable/invalid input or an output path that cannot be
+written, 3 maximum-entropy non-convergence (the expected outcome when raw
+singular-measure moments bypass conditioning), 4 phase values out of range
+at inversion time.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("a config file holds one JSON object")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -428,6 +431,16 @@ def run_pipeline(cfg: dict, moments_path: str) -> int:
 
     outdir = Path(cfg["output"])
     report: dict = {"pipeline": cfg["pipeline"], "provenance": provenance}
+    try:
+        return _dispatch(cfg, moments, outdir, report)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+
+
+def _dispatch(cfg: dict, moments, outdir: Path, report: dict) -> int:
+    """Run the chosen pipeline, turning bad input into exit 2 and a phase
+    out of range into exit 4 (with a report)."""
     try:
         if cfg["pipeline"] not in PIPELINES:
             raise ValueError(f"unknown pipeline {cfg['pipeline']!r}")

@@ -378,9 +378,15 @@ def moments_from_json(payload: dict):
         values = np.array([complex(re, im) for re, im in raw])
         moments = TrigMoments(values)
     elif kind == "multi":
-        d = int(payload["dimension"])
-        order = int(payload["order"])
-        entries = {tuple(int(i) for i in idx): float(v) for idx, v in payload["values"]}
+        d, order = payload["dimension"], payload["order"]
+        if type(d) is not int or type(order) is not int:
+            raise ValueError(f"dimension and order must be integers, got {d!r}, {order!r}")
+        values = payload["values"]
+        entries = {tuple(idx): float(v) for idx, v in values}
+        if len(entries) < len(values):
+            raise ValueError("a multi-index is listed more than once")
+        if not all(type(i) is int for idx in entries for i in idx):
+            raise ValueError("multi-index components must be integers")
         if not entries:
             raise ValueError("empty moment sequence")
         moments = MultiMoments.from_dict(d, order, entries)

@@ -2,17 +2,18 @@
 
 Coefficients live on the set of multi-indices of total degree <= N, stored
 densely in graded-lexicographic order.  The operations exported here are
-powers (Miller's triangular recursion), the logarithm (the one-pass
-Euler-operator recurrence) and the exponential.  The nonlinear maps between a
-measure's moments and its phase function's moments are truncated log/exp
-expansions: every conditioning transform in this package is one
-`series_log` of a normalized moment series.  `accumulate_powers`, the
-weighted power sum, is the reference the logarithm is tested against.
+powers and the logarithm, both one graded Euler-operator recurrence run
+over the cached product table (Miller's for powers, Brent & Kung's for the
+logarithm), and the exponential.  The nonlinear maps between a measure's
+moments and its phase function's moments are truncated log/exp expansions:
+every conditioning transform in this package is one `series_log` of a
+normalized moment series.  `series_exp` and `accumulate_powers`, the
+weighted power sum, are built from repeated products and are the
+references the recurrences are tested against.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,8 +34,8 @@ def graded_indices(dimension: int, order: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices with total degree <= order, graded-lex ordered.
 
     Graded ordering (degree first, lexicographic within a degree) is what the
-    triangular power recursion requires: every coefficient of degree m depends
-    only on coefficients of degree < m.
+    graded recurrences require: every coefficient of degree m depends only on
+    coefficients of degree < m.  It also lists every lower truncation first.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -135,24 +136,21 @@ class FormalSeries:
         return FormalSeries(self.dimension, self.order, self.coeff.copy())
 
     def truncate(self, order: int) -> "FormalSeries":
-        """Restriction to total degree <= order (order may not grow)."""
+        """Restriction to total degree <= order (order may not grow).
+
+        Graded order lists every lower truncation first, so this is a copied
+        prefix of the coefficients.
+        """
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        out = FormalSeries.zeros(self.dimension, order)
-        pos = _positions(self.dimension, self.order)
-        for idx in out.indices:
-            out.coeff[_positions(self.dimension, order)[idx]] = self.coeff[pos[idx]]
-        return out
+        n = len(graded_indices(self.dimension, order))
+        return FormalSeries(self.dimension, order, self.coeff[:n].copy())
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
         self._check_compatible(other)
         return FormalSeries(self.dimension, self.order, self.coeff + other.coeff)
-
-    def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        self._check_compatible(other)
-        return FormalSeries(self.dimension, self.order, self.coeff - other.coeff)
 
     def scale(self, factor: complex) -> "FormalSeries":
         return FormalSeries(self.dimension, self.order, self.coeff * factor)
@@ -196,46 +194,35 @@ def _product_table(dimension: int, order: int) -> tuple[np.ndarray, ...]:
 def series_pow(a: FormalSeries, k: int) -> FormalSeries:
     """k-th power of a series with nonzero free term.
 
-    Uses the triangular recursion of J.C.P. Miller (multivariate form due to
-    Nakos): with B = A^k,
+    J. C. P. Miller's recurrence in Euler-operator form (Knuth, TAOCP vol. 2,
+    4.7): with theta as in `series_log`, B = A^k satisfies
+    A theta B = k B theta A, and comparing coefficients gives
 
-        b_0   = a_0^k,
-        b_mu  = sum_{0 < gamma <= mu} (1/a_0)
-                [ (k+1) |gamma/mu| / |mu/mu| - 1 ] a_gamma b_{mu-gamma},
+        b_0 = a_0^k,
+        a_0 |mu| b_mu = sum_{0 < beta <= mu}
+                        (k |mu| - (k+1) |mu-beta|) a_beta b_{mu-beta}.
 
-    where |alpha/beta| = sum over positions with beta_i != 0 of
-    alpha_i / beta_i, so |mu/mu| counts the nonzero entries of mu.  Each
-    coefficient only consumes strictly lower-degree output coefficients,
-    which is why truncated inputs give exact truncated outputs.
+    It runs like `series_log`: in graded order, once b_gamma is final its
+    terms are pushed over the product table to every alpha = gamma + beta.
+    Each coefficient only consumes lower-degree output coefficients, which
+    is why truncated inputs give exact truncated outputs.
     """
     if k < 0:
         raise ValueError("exponent must be a non-negative integer")
     if a.free_term == 0:
         raise ValueError("free term must be nonzero")
+    table = _product_table(a.dimension, a.order)
+    degree = np.array([sum(idx) for idx in a.indices])
     out = FormalSeries.zeros(a.dimension, a.order)
     out.coeff[0] = a.free_term**k
-    indices = a.indices
-    pos = _positions(a.dimension, a.order)
-    a0 = a.free_term
-    for p_mu, mu in enumerate(indices):
-        if p_mu == 0:
-            continue
-        support = [i for i, m in enumerate(mu) if m != 0]
-        mu_over_mu = float(len(support))
-        acc = 0.0 + 0.0j
-        for gamma in itertools.product(*(range(m + 1) for m in mu)):
-            if all(g == 0 for g in gamma):
-                continue
-            a_g = a.coeff[pos[gamma]]
-            if a_g == 0:
-                continue
-            rest = tuple(m - g for m, g in zip(mu, gamma))
-            b_rest = out.coeff[pos[rest]]
-            if b_rest == 0:
-                continue
-            ratio = sum(gamma[i] / mu[i] for i in support)
-            acc += ((k + 1) * ratio / mu_over_mu - 1.0) * a_g * b_rest
-        out.coeff[p_mu] = acc / a0
+    pending = np.zeros_like(out.coeff)  # the sum over beta, filled from below
+    for p in range(len(out.coeff)):
+        if p:
+            out.coeff[p] = pending[p] / (degree[p] * a.free_term)
+        pairs = table[p][1:]  # drops beta = 0, the first index
+        if out.coeff[p] != 0 and pairs.size:
+            weight = k * degree[pairs[:, 1]] - (k + 1) * degree[p]
+            pending[pairs[:, 1]] += weight * out.coeff[p] * a.coeff[pairs[:, 0]]
     return out
 
 

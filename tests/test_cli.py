@@ -129,10 +129,17 @@ def test_skip_condition_negative_control(tmp_path):
             {"kind": "multi", "dimension": 1, "order": 3,
              "values": [[[0], 1.0], [[1], 1e308], [[2], 1e308], [[3], 1.0]]},
         ),
+        ("polydisk", {"kind": "multi", "dimension": 2, "order": 1,
+                      "values": [[[0, 0], 1.0], [[1.7, 0], 0.3]]}),
+        ("polydisk", {"kind": "multi", "dimension": 2.9, "order": 1,
+                      "values": [[[0, 0], 1.0], [[1, 0], 0.3]]}),
+        ("polydisk", {"kind": "multi", "dimension": 2, "order": 1,
+                      "values": [[[0, 0], 1.0], [[1, 0], 0.3], [[0, 0], 2.0]]}),
     ],
     ids=["empty", "power-nan", "power-inf", "trig-inf", "multi-nan", "one-bound", "list",
          "line-zero-mass", "polydisk-negative-mass", "line-two-moments", "support-nan",
-         "support-inf", "line-conditioning-overflow", "polydisk-conditioning-overflow"],
+         "support-inf", "line-conditioning-overflow", "polydisk-conditioning-overflow",
+         "multi-fractional-index", "multi-fractional-dimension", "multi-repeated-index"],
 )
 def test_empty_moments_file_is_parse_error(tmp_path, pipeline, payload):
     path = write_json(tmp_path / "moments.json", payload)
@@ -402,6 +409,12 @@ BAD_CONFIG_FILES = [
     {"span": "1"},
     {"pad": 4},
     {"phase_support": [0.0, 1.0]},
+    # top levels that are not one JSON object
+    None,
+    5,
+    [["grid", 4]],
+    "grid",
+    ["grid"],
 ]
 
 
@@ -412,6 +425,15 @@ def test_bad_config_file_value_exits_before_output(tmp_path):
         out = tmp_path / f"o{i}"
         assert main([moments, "--config", cfg, "-o", str(out)]) == EXIT_PARSE, config
         assert not out.exists(), config
+
+
+def test_unwritable_output_path_is_parse_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep me\n", encoding="utf-8")
+    code = main([dirac_line_file(tmp_path), "-o", str(blocker / "out")])
+    assert code == EXIT_PARSE
+    assert "error: cannot write output:" in capsys.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "keep me\n"
 
 
 def test_missing_directions_file_exits_before_output(tmp_path):

@@ -131,6 +131,24 @@ def test_pow_triangular_prefix_stability():
         )
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_truncate_is_a_copied_prefix(dimension):
+    # graded order lists every lower truncation first
+    for order in range(9):
+        full = graded_indices(dimension, order)
+        for lower in range(order + 1):
+            prefix = graded_indices(dimension, lower)
+            assert full[: len(prefix)] == prefix
+    a = FormalSeries.zeros(dimension, 5)
+    a.coeff[:] = np.arange(a.coeff.size) + 1.0
+    cut = a.truncate(3)
+    assert all(cut.coefficient(idx) == a.coefficient(idx) for idx in cut.indices)
+    cut.coeff[:] = 0.0
+    assert np.array_equal(a.coeff, np.arange(a.coeff.size) + 1.0)
+    with pytest.raises(ValueError, match="cannot extend"):
+        a.truncate(6)
+
+
 # ---------------------------------------------------------------------------
 # accumulate_powers
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .conditioning import (
     condition_polydisk,
     hankel_feasibility,
     moments_from_json,
+    moments_to_json,
 )
 from .maxent import density_on, solve_power_moments, solve_trig_moments
 from .raybeam import RayDirection, ray_sweep, support_cutoff
@@ -283,7 +284,6 @@ class _Domain:
     """What the line and circle pipelines do differently."""
 
     condition: Callable
-    conditioned_json: Callable  # conditioned values -> JSON-ready list
     solve: Callable  # (cfg, target, source, report) -> (solution, grid bounds)
     grid_kind: str
     phase_max: float
@@ -293,7 +293,6 @@ class _Domain:
 
 LINE = _Domain(
     condition=condition_line,
-    conditioned_json=lambda values: values.tolist(),
     solve=_solve_line,
     grid_kind="interval",
     phase_max=1.0,
@@ -303,7 +302,6 @@ LINE = _Domain(
 
 CIRCLE = _Domain(
     condition=condition_circle,
-    conditioned_json=lambda values: [[float(v.real), float(v.imag)] for v in values],
     solve=_solve_circle,
     grid_kind="circle",
     phase_max=np.pi,
@@ -320,7 +318,7 @@ def _run_phase(domain: _Domain, cfg, source, outdir: Path, report: dict) -> int:
         report["conditioned_moments"] = None
     else:
         target = domain.condition(source)
-        report["conditioned_moments"] = domain.conditioned_json(target.values)
+        report["conditioned_moments"] = moments_to_json(target)["values"]
     sol, (a, b) = domain.solve(cfg, target, source, report)
     report["solver"] = sol.report()
     if not sol.converged:

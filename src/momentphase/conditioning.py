@@ -226,14 +226,9 @@ def hankel_matrices(gamma: PowerMoments) -> tuple[np.ndarray, np.ndarray]:
     positivity characterizes solvable half-line problems.
     """
     g = np.asarray(gamma.values, dtype=float)
-    length = g.size
-    n1 = (length + 1) // 2
-    n2 = length // 2
-    h1 = np.array([[g[i + j] for j in range(n1)] for i in range(n1)])
-    h2 = np.array(
-        [[g[i + j + 1] for j in range(n2)] for i in range(n2)]
-    ).reshape(n2, n2)
-    return h1, h2
+    i = np.arange((g.size + 1) // 2)
+    j = np.arange(g.size // 2)
+    return g[i[:, None] + i], g[j[:, None] + j + 1]
 
 
 def hankel_feasibility(gamma: PowerMoments) -> Feasibility:

@@ -99,8 +99,10 @@ class BasisMatrix:
     Row 0 is always the constant function carrying the mass constraint.
     `order` is the polynomial degree or the highest trigonometric mode; the
     rows themselves come from `rows_at`, at the quadrature nodes for
-    `values` and at any points for sampling the density.  For polynomial
-    bases, `coeff_rows[i]` gives T_i in the monomial frame.
+    `values` and at any points for sampling the density.  For the Legendre
+    basis, `coeff_rows[i]` gives T_i in the monomial frame; it maps power
+    moments to targets and gives the monomial view of a dual, but rows are
+    never evaluated through it.
     """
 
     kind: str  # "monomial" | "legendre" | "trigonometric"
@@ -117,13 +119,19 @@ class BasisMatrix:
         return self.values.shape[0]
 
     def rows_at(self, points: np.ndarray) -> np.ndarray:
-        """Basis rows evaluated at arbitrary points."""
+        """Basis rows evaluated at arbitrary points.
+
+        Legendre rows come from numpy's three-term recurrence (`legvander`)
+        on the points mapped to [-1, 1], which stays accurate on intervals
+        far from the origin, where expanding in monomials first cancels.
+        """
         points = np.asarray(points, dtype=float)
-        if self.kind in ("monomial", "legendre"):
-            powers = np.vander(points, N=self.order + 1, increasing=True).T
-            if self.kind == "monomial":
-                return powers
-            return self.coeff_rows @ powers
+        if self.kind == "monomial":
+            return np.vander(points, N=self.order + 1, increasing=True).T
+        if self.kind == "legendre":
+            a, b = self.quadrature.interval
+            mapped = (2.0 * points - a - b) / (b - a)
+            return np.polynomial.legendre.legvander(mapped, self.order).T
         # trigonometric: rows 1, cos(k.), sin(k.) for k = 1..order
         rows = [np.ones_like(points)]
         for k in range(1, self.order + 1):
@@ -134,7 +142,7 @@ class BasisMatrix:
 
 def monomial_basis(quad: Quadrature, order: int) -> BasisMatrix:
     """Rows 1, x, ..., x^order at the quadrature nodes."""
-    return BasisMatrix("monomial", quad, order, coeff_rows=np.eye(order + 1))
+    return BasisMatrix("monomial", quad, order)
 
 
 def legendre_basis(quad: Quadrature, order: int) -> BasisMatrix:
@@ -143,7 +151,9 @@ def legendre_basis(quad: Quadrature, order: int) -> BasisMatrix:
     Spans the same space as the monomials, so the maximum-entropy density is
     unchanged, but the near-orthogonal rows cut the dual iteration count by
     orders of magnitude on moment problems that are hopeless in the raw
-    monomial frame.  `coeff_rows` converts row i to monomial coefficients.
+    monomial frame.  The rows are evaluated by recurrence (`rows_at`);
+    `coeff_rows` converts row i to monomial coefficients, which maps power
+    moments to Legendre targets and gives `monomial_dual`.
     """
     a, b = quad.interval
     coeff_rows = np.zeros((order + 1, order + 1))
@@ -205,7 +215,7 @@ def precondition(
     a_prime = t[:, None] * (a + u[:, None])
     mu_prime = t * (u + mu)
     if np.any(mu_prime <= 0):
-        raise ValueError("conditioned moments are not all positive")
+        raise ValueError("targets lie outside the range the basis rows take on the quadrature")
     return a_prime, mu_prime, PreconditionMeta(u, m, t, float(delta))
 
 
@@ -279,9 +289,8 @@ def _check_residual(alpha: np.ndarray, basis: BasisMatrix, mu: np.ndarray) -> fl
         check = circle_quadrature(count)
     else:
         check = build_quadrature(quad.interval[0], quad.interval[1], count)
-    rows = basis.rows_at(check.nodes)
-    p, _ = _clamped_exp(rows.T @ alpha - 1.0)
-    return float(np.linalg.norm(rows @ (check.weights * p) - mu))
+    check_basis = BasisMatrix(basis.kind, check, basis.order, basis.coeff_rows)
+    return constraint_residual(alpha, check_basis, mu)[1]
 
 
 def _newton(

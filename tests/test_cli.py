@@ -85,6 +85,30 @@ def test_line_point_mass_off_origin_converges(tmp_path):
     assert report["phase_interval"][0] > 0
 
 
+OFF_ORIGIN_ATOMS = [(0.5, 1.0, 11), (0.4, 2.0, 9)] + [
+    (mass, at, 9) for mass in (0.3, 0.45, 0.6) for at in (0.5, 1.0, 1.5, 2.0)
+]
+
+
+@pytest.mark.parametrize("mass, at, count", OFF_ORIGIN_ATOMS)
+def test_conditioned_atoms_off_origin_recover_their_phase(tmp_path, mass, at, count):
+    # the phase of mass m at x is the indicator of [x, x + m], so the
+    # solver's window sits away from the origin
+    from momentphase.transform import read_csv
+
+    path = write_json(
+        tmp_path / "atom.json",
+        {"kind": "power", "support": "half_line",
+         "values": [mass * at**n for n in range(count)]},
+    )
+    out = tmp_path / "out"
+    assert main([path, "--pipeline", "line", "--max-sweeps", "20000", "-o", str(out)]) == EXIT_OK
+    phi = read_csv(out / "phase.csv")
+    assert phi.a <= at and at + mass <= phi.b
+    indicator = (phi.grid >= at) & (phi.grid <= at + mass)
+    assert np.sum(np.abs(phi.values - indicator)) * phi.step < 0.1 * mass
+
+
 def test_skip_condition_negative_control(tmp_path):
     out = tmp_path / "out"
     code = main(

@@ -7,7 +7,6 @@ import pytest
 
 from momentphase import maxent
 from momentphase.maxent import (
-    BasisMatrix,
     build_quadrature,
     circle_quadrature,
     constraint_residual,
@@ -250,8 +249,8 @@ def test_singular_hessian_hands_the_budget_to_coordinate_ascent():
     # two identical rows make the Newton system exactly singular; that ends
     # the Newton phase instead of escaping as LinAlgError (a ValueError)
     q = build_quadrature(0.0, 1.0, 64)
-    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
-    basis = BasisMatrix("legendre", q, 2, coeff_rows=rows)
+    basis = monomial_basis(q, 2)
+    basis.values = basis.values[[0, 1, 1]]
     sol = fime_solve(basis, np.array([1.0, 0.5, 0.5]), tol=1e-10, max_sweeps=2_000)
     assert sol.iterations == 2_000
     assert np.isfinite(sol.residual_norm)
@@ -406,3 +405,15 @@ def test_basis_rows_at_off_grid_points():
     rows = tb.rows_at(pts)
     assert np.allclose(rows[1], np.cos(pts))
     assert np.allclose(rows[4], np.sin(2 * pts))
+
+
+@pytest.mark.parametrize("interval", [(0.856, 1.644), (1.885, 2.515)])
+def test_legendre_rows_stay_accurate_away_from_the_origin(interval):
+    # windows of conditioned atoms at 1.0 and 2.0; expanding the rows in
+    # monomials first misses these by up to 27 and 3.6e6 at order 16
+    a, b = interval
+    basis = legendre_basis(build_quadrature(a, b, 301), 16)
+    nodes = basis.quadrature.nodes
+    for i in range(17):
+        ref = np.polynomial.Legendre.basis(i, domain=[a, b])(nodes)
+        assert np.max(np.abs(basis.values[i] - ref)) < 1e-11

@@ -261,26 +261,46 @@ def cauchy_boundary_avg(xi: GridFunction) -> GridFunction:
 # ----------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def _row_template(kind: str, a: float, b: float, g: int) -> str:
+    """Every data row of a CSV on one grid: the x text, written once with
+    repr, then a `%r` slot for the value.  Fixed by the grid alone, so the
+    next file on the same grid (a ray's phase and slice, a pipeline's phase
+    and density) reuses it.  Float reprs hold no '%', so none needs escaping;
+    the keys a = 0.0 and a = -0.0 compare equal and give the same centres."""
+    x = GridFunction(kind, a, b, np.zeros(g)).grid
+    return "".join(f"{t!r},%r\n" for t in x.tolist())
+
+
 def write_csv(f: GridFunction, path) -> None:
     """Emit header (domain, a, b, G) then (x, value) rows.
 
     Values are written with repr, the shortest decimal string that parses
-    back to the identical double, so a round trip is bit-exact.
+    back to the identical double, so a round trip is bit-exact.  `%r` of a
+    float is its repr, so one `%` on the grid's row template writes them all.
     """
-    lines = [f"{f.kind},{f.a!r},{f.b!r},{f.size}"]
-    lines.append("x,value")
-    for x, v in zip(f.grid, f.values):
-        lines.append(f"{float(x)!r},{float(v)!r}")
+    rows = _row_template(f.kind, f.a, f.b, f.size) % tuple(f.values.tolist())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{f.kind},{f.a!r},{f.b!r},{f.size}\nx,value\n{rows}")
 
 
 def read_csv(path) -> GridFunction:
+    """Read `write_csv` output; the grid comes from the header, the values
+    from the second field of each (x, value) row."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         kind, a, b, g = header[0], float(header[1]), float(header[2]), int(header[3])
         fh.readline()  # column names
-        values = np.array([float(line.split(",")[1]) for line in fh if line.strip()])
-    if values.size != g:
-        raise ValueError(f"expected {g} rows, found {values.size}")
-    return GridFunction(kind, a, b, values)
+        values = []
+        for lineno, line in enumerate(fh, start=3):
+            if not line.strip():
+                continue
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ValueError(
+                    f"line {lineno}: expected 2 fields (x,value), found {len(fields)}"
+                )
+            values.append(float(fields[1]))
+    if len(values) != g:
+        raise ValueError(f"expected {g} rows, found {len(values)}")
+    return GridFunction(kind, a, b, np.array(values))

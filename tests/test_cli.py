@@ -496,3 +496,38 @@ def test_report_is_strict_json_when_solver_values_overflow(tmp_path):
     report = strict_load(out / "report.json")
     assert "solver.alpha" in report["non_finite"]
     assert None in report["solver"]["alpha"]
+
+
+@pytest.mark.parametrize("window", [None, [-4.0, 12.0]], ids=["per-ray-windows", "fixed-window"])
+def test_raybeam_csv_x_column_is_each_files_own_grid(tmp_path, window):
+    # with per-ray windows every ray's files sit on their own grid, with a
+    # fixed window all of them share one; either way each file's x column
+    # must be the cell centres of the (a, b, G) in its own header
+    n = 4
+    values = [
+        [[i, j], 1.0 / ((i + 1) * (j + 1))] for i in range(n + 1) for j in range(n + 1 - i)
+    ]
+    path = write_json(
+        tmp_path / "square.json",
+        {"kind": "multi", "dimension": 2, "order": n, "values": values},
+    )
+    dirs = write_json(tmp_path / "dirs.json", [[1.0, 1.0], [2.0, 1.0], [1.0, 3.0]])
+    config = write_json(tmp_path / "config.json", {"window": window})
+    out = tmp_path / "out"
+    code = main(
+        [path, "--pipeline", "raybeam", "--directions", dirs, "--config", config,
+         "--grid", "256", "--tol", "1e-5", "--delta", "0.1", "-o", str(out)]
+    )
+    assert code == EXIT_OK
+    headers = set()
+    for i in range(3):
+        for name in (f"phase_{i:03d}.csv", f"slice_{i:03d}.csv"):
+            lines = (out / name).read_text(encoding="ascii").splitlines()
+            kind, a, b, g = lines[0].split(",")
+            assert kind == "interval"
+            a, b, g = float(a), float(b), int(g)
+            x = np.array([float(row.split(",")[0]) for row in lines[2:]])
+            centres = a + (np.arange(g) + 0.5) * ((b - a) / g)
+            assert np.array_equal(x, centres)
+            headers.add(lines[0])
+    assert len(headers) == (3 if window is None else 1)

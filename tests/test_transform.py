@@ -355,3 +355,77 @@ def test_csv_write_is_deterministic(tmp_path):
     write_csv(gf, p1)
     write_csv(gf, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# The values every golden-format test writes: signed zero, the smallest
+# subnormal, short and long reprs, and the non-finite ones.
+EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1 / 3, float("nan"), float("inf"), -1.5, 0.0]
+
+
+def golden_csv(gf: GridFunction) -> str:
+    """The CSV text by the per-row formula: header, column names, then
+    repr(x), repr(value) for each grid point."""
+    lines = [f"{gf.kind},{gf.a!r},{gf.b!r},{gf.size}", "x,value"]
+    lines += [f"{float(x)!r},{float(v)!r}" for x, v in zip(gf.grid, gf.values)]
+    return "\n".join(lines) + "\n"
+
+
+def edge_values(g: int) -> np.ndarray:
+    rng = np.random.default_rng(g)
+    vals = rng.standard_normal(g) * 10.0 ** rng.integers(-300, 300, g)
+    vals[: len(EDGE_VALUES)] = EDGE_VALUES
+    return vals
+
+
+@pytest.mark.parametrize(
+    "gf",
+    [
+        GridFunction.on_interval(-32.0, 96.0, edge_values(64)),
+        GridFunction.on_interval(0.1, 0.30000000000000004, edge_values(16)),
+        GridFunction.on_circle(edge_values(32)),
+    ],
+    ids=["interval", "interval-inexact-ends", "circle"],
+)
+def test_csv_bytes_match_the_per_row_formula(tmp_path, gf):
+    path = tmp_path / "grid.csv"
+    write_csv(gf, path)
+    assert path.read_text(encoding="ascii") == golden_csv(gf)
+    rows = path.read_text(encoding="ascii").splitlines()[2:]
+    x = np.array([float(row.split(",")[0]) for row in rows])
+    assert np.array_equal(x.view(np.int64), gf.grid.view(np.int64))  # bit for bit
+
+
+def test_csv_row_template_keys_on_the_whole_grid(tmp_path):
+    # each write must follow its own grid and values, whatever the writes
+    # before it left cached
+    g = 32
+    b_next = np.nextafter(2.5, np.inf)
+    grids = [
+        GridFunction.on_interval(-0.5, 2.5, edge_values(g)),
+        GridFunction.on_interval(-0.5, b_next, edge_values(g)),
+        GridFunction.on_interval(-0.5, 2.5, np.arange(g) / 7.0),  # A again, new values
+        GridFunction.on_circle(edge_values(g)),
+        GridFunction.on_interval(-0.0, 1.0, edge_values(g)),
+        GridFunction.on_interval(0.0, 1.0, edge_values(g)),
+    ]
+    texts = []
+    for i, gf in enumerate(grids):
+        path = tmp_path / f"{i}.csv"
+        write_csv(gf, path)
+        texts.append(path.read_text(encoding="ascii"))
+        assert texts[-1] == golden_csv(gf)
+    # the last bit of b moves some cell centres, so a template keyed on
+    # less than the whole window would write a wrong x column
+    assert not np.array_equal(grids[0].grid, grids[1].grid)
+
+
+@pytest.mark.parametrize(
+    "row, fields",
+    [("0.5", 1), ("0.5,1.0,2.0", 3)],
+    ids=["no-comma", "three-fields"],
+)
+def test_read_csv_rejects_malformed_rows(tmp_path, row, fields):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"interval,0.0,1.0,2\nx,value\n0.25,1.0\n{row}\n", encoding="ascii")
+    with pytest.raises(ValueError, match=f"line 4: expected 2 fields .*found {fields}"):
+        read_csv(path)

@@ -1,11 +1,17 @@
 """End-to-end CLI runs: exit codes, outputs, determinism."""
 
+import hashlib
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentphase.cli import EXIT_NOCONV, EXIT_OK, EXIT_PARSE, EXIT_RANGE, main
+from momentphase.cli import DEFAULTS, EXIT_NOCONV, EXIT_OK, EXIT_PARSE, EXIT_RANGE, main
 from momentphase.series import FormalSeries, series_exp
 
 NAN, INF = float("nan"), float("inf")
@@ -159,11 +165,28 @@ def test_skip_condition_negative_control(tmp_path):
                       "values": [[[0, 0], 1.0], [[1, 0], 0.3]]}),
         ("polydisk", {"kind": "multi", "dimension": 2, "order": 1,
                       "values": [[[0, 0], 1.0], [[1, 0], 0.3], [[0, 0], 2.0]]}),
+        # JSON integers too large for a float
+        ("line", {"kind": "power", "support": "half_line", "values": [10**400, 0, 0, 0]}),
+        ("circle", {"kind": "trig", "values": [[10**400, 0.0], [0.1, 0.0]]}),
+        ("polydisk", {"kind": "multi", "dimension": 1, "order": 1,
+                      "values": [[[0], 1.0], [[1], 10**400]]}),
+        # a few bytes that ask for a dense series over the size cutoffs
+        ("polydisk", {"kind": "multi", "dimension": 4, "order": 30,
+                      "values": [[[0, 0, 0, 0], 1.0], [[1, 0, 0, 0], 0.1]]}),
+        ("polydisk", {"kind": "multi", "dimension": 1, "order": 100_000_000,
+                      "values": [[[0], 1.0], [[1], 0.1]]}),
+        ("raybeam", {"kind": "multi", "dimension": 2, "order": 100_000_000,
+                     "values": [[[0, 0], 1.0], [[1, 0], 0.1]]}),
+        ("line", {"kind": "power", "support": "half_line", "values": [1.0] + [0.0] * 65}),
+        ("circle", {"kind": "trig", "values": [[0.2, 0.0]] + [[0.0, 0.0]] * 65}),
     ],
     ids=["empty", "power-nan", "power-inf", "trig-inf", "multi-nan", "one-bound", "list",
          "line-zero-mass", "polydisk-negative-mass", "line-two-moments", "support-nan",
          "support-inf", "line-conditioning-overflow", "polydisk-conditioning-overflow",
-         "multi-fractional-index", "multi-fractional-dimension", "multi-repeated-index"],
+         "multi-fractional-index", "multi-fractional-dimension", "multi-repeated-index",
+         "power-int-overflow", "trig-int-overflow", "multi-int-overflow",
+         "multi-over-coefficient-cutoff", "multi-over-order-cutoff", "raybeam-over-order-cutoff",
+         "power-over-order-cutoff", "trig-over-order-cutoff"],
 )
 def test_empty_moments_file_is_parse_error(tmp_path, pipeline, payload):
     path = write_json(tmp_path / "moments.json", payload)
@@ -174,15 +197,23 @@ def test_empty_moments_file_is_parse_error(tmp_path, pipeline, payload):
 
 
 def test_malformed_json_is_parse_error(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    assert main([str(path), "--pipeline", "line", "-o", str(tmp_path / "o")]) == EXIT_PARSE
+    # a syntax error, and nesting deeper than the parser can recurse, as the
+    # moments file and as the config file
+    moments = dirac_line_file(tmp_path)
+    for i, text in enumerate(["{not json", "[" * 100_000 + "]" * 100_000]):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / f"o{i}"
+        assert main([str(path), "--pipeline", "line", "-o", str(out)]) == EXIT_PARSE
+        assert main([moments, "--config", str(path), "-o", str(out)]) == EXIT_PARSE
+        assert not out.exists()
 
 
-def test_wrong_kind_for_pipeline_is_parse_error(tmp_path):
+def test_wrong_kind_for_pipeline_is_parse_error(tmp_path, capsys):
     path = write_json(tmp_path / "trig.json", {"kind": "trig", "values": [[0.5, 0.0]]})
     out = tmp_path / "o"
     assert main([path, "--pipeline", "line", "-o", str(out)]) == EXIT_PARSE
+    assert "error: cannot read input: line pipeline expects" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -195,9 +226,11 @@ def test_wrong_kind_for_pipeline_is_parse_error(tmp_path):
         (2, [[INF, 1.0]], None),
         (2, [], None),
         (3, [[1.0, 1.0]], [1, 1]),
+        (2, [[10**400, 1.0]], None),
     ],
     ids=["zero-direction-component", "two-moments", "nan-direction-component",
-         "inf-direction-component", "no-directions", "ray-conditioning-overflow"],
+         "inf-direction-component", "no-directions", "ray-conditioning-overflow",
+         "int-overflow-direction-component"],
 )
 def test_bad_ray_input_exits_before_output(tmp_path, order, directions, huge):
     # `huge` names the one moment set to 1e308, whose ray phase moments overflow
@@ -411,6 +444,9 @@ def test_unknown_config_key_is_rejected(tmp_path):
         ["--max-sweeps", "0"],
         ["--delta", "0"],
         ["--delta", "-0.5"],
+        # over the size cutoffs
+        ["--grid", "17179869184"],
+        ["--nodes", "100000"],
     ],
     ids=lambda flags: "".join(flags).lstrip("-"),
 )
@@ -433,6 +469,13 @@ BAD_CONFIG_FILES = [
     {"span": "1"},
     {"pad": 4},
     {"phase_support": [0.0, 1.0]},
+    {"output": 5},
+    {"output": None},
+    {"skip_condition": "no"},
+    {"directions": 7},
+    {"pipeline": ["line"]},
+    {"pipeline": "bogus"},
+    {"tol": 10**400},
     # top levels that are not one JSON object
     None,
     5,
@@ -531,3 +574,162 @@ def test_raybeam_csv_x_column_is_each_files_own_grid(tmp_path, window):
             assert np.array_equal(x, centres)
             headers.add(lines[0])
     assert len(headers) == (3 if window is None else 1)
+
+
+def test_provenance_hashes_the_bytes_of_both_input_files(tmp_path):
+    n = 3
+    values = [
+        [[i, j], 1.0 / ((i + 1) * (j + 1))] for i in range(n + 1) for j in range(n + 1 - i)
+    ]
+    # indented and with a trailing newline, so a hash of re-serialised JSON differs
+    path = tmp_path / "square.json"
+    path.write_text(
+        json.dumps({"kind": "multi", "dimension": 2, "order": n, "values": values}, indent=1)
+        + "\n",
+        encoding="utf-8",
+    )
+    dirs = tmp_path / "dirs.json"
+    dirs.write_text("[[1.0, 1.0],\n [2.0, 1.0]]\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(
+        [str(path), "--pipeline", "raybeam", "--directions", str(dirs), "--grid", "256",
+         "--tol", "1e-5", "-o", str(out)]
+    )
+    assert code == EXIT_OK
+    provenance = json.loads((out / "report.json").read_text())["provenance"]
+    assert provenance["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert provenance["directions_sha256"] == hashlib.sha256(dirs.read_bytes()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over drawn inputs: every run ends in 0, 2, 3 or 4;
+# exit 2 leaves no output directory and every other exit leaves one strict
+# report.json; a config with one bad value exits 2
+# ---------------------------------------------------------------------------
+
+# one bad value for each key of DEFAULTS, several for some
+BAD_SETTINGS = [
+    ("pipeline", "bogus"), ("pipeline", ["line"]), ("pipeline", 5),
+    ("grid", 1000), ("grid", "1024"), ("grid", 2**34), ("grid", 64.0),
+    ("tol", 0), ("tol", "1e-7"), ("tol", 10**400), ("tol", None),
+    ("max_sweeps", 0), ("max_sweeps", 2.5), ("max_sweeps", True),
+    ("delta", -1.0), ("delta", "0.1"),
+    ("nodes", 1), ("nodes", 10**8), ("nodes", None),
+    ("span", -1.0), ("span", "1"),
+    ("skip_condition", "no"), ("skip_condition", 1), ("skip_condition", None),
+    ("directions", 7), ("directions", ["dirs.json"]),
+    ("output", 5), ("output", None), ("output", ["out"]),
+    ("window", [1.0]), ("window", "wide"), ("window", [5.0, 1.0]),
+]
+
+
+def _point_mass(mass, at, count):
+    values = [mass * at**k for k in range(count)]
+    return {"kind": "power", "support": "half_line", "values": values}
+
+
+def _uniform(mass, count):
+    values = [mass / (k + 1) for k in range(count)]
+    return {"kind": "power", "support": [0.0, 1.0], "values": values}
+
+
+def _circle(mass, r, theta, m):
+    tau = [mass * r**k * np.exp(-1j * k * theta) / (2 * np.pi) for k in range(m + 1)]
+    return {"kind": "trig", "values": [[v.real, v.imag] for v in tau]}
+
+
+def _atoms(d, n, atoms):
+    values = []
+    for i in range(n + 1):
+        for j in range(n + 1 - i if d == 2 else 1):
+            idx = [i, j] if d == 2 else [i]
+            values.append([idx, sum(m * x**i * y**j for m, (x, y) in atoms)])
+    return {"kind": "multi", "dimension": d, "order": n, "values": values}
+
+
+MASSES = st.floats(0.1, 2.0)
+COORDINATES = st.floats(0.0, 0.9)
+VALID = st.one_of(
+    st.builds(_point_mass, MASSES, st.floats(0.0, 2.0), st.integers(3, 8)),
+    st.builds(_uniform, MASSES, st.integers(3, 8)),
+    st.builds(_circle, MASSES, st.floats(0.0, 0.9), st.floats(-3.0, 3.0), st.integers(1, 6)),
+    st.builds(
+        _atoms,
+        st.sampled_from([1, 2]),
+        st.integers(1, 4),
+        st.lists(st.tuples(MASSES, st.tuples(COORDINATES, COORDINATES)), min_size=1, max_size=3),
+    ),
+)
+FIXED = st.sampled_from([
+    # boundary: an atom at the right end, the origin, on the circle
+    {"kind": "power", "support": [0.0, 1.0], "values": [1.0, 1.0, 1.0, 1.0]},
+    {"kind": "power", "support": "half_line", "values": [1.0, 0.0, 0.0, 0.0]},
+    _circle(1.0, 1.0, 0.5, 4),
+    # infeasible
+    {"kind": "power", "support": [0.0, 1.0], "values": [1.0, -5.0, 0.0, 0.0]},
+    {"kind": "power", "support": "half_line", "values": [-1.0, 0.5, 0.3, 0.2]},
+    _atoms(2, 2, [(-1.0, (0.2, 0.3))]),
+    # absurd magnitude
+    {"kind": "power", "support": "half_line", "values": [1e300, 1e300, 1e300, 1e300]},
+    {"kind": "power", "support": [0.0, 1.0], "values": [1e-300, 1e-301, 1e-302, 1e-303]},
+    {"kind": "power", "support": "half_line", "values": [1.0, 0.5, 1e308, 0.1]},
+    {"kind": "power", "support": "half_line", "values": [10**400, 0, 0, 0]},
+    {"kind": "power", "support": "half_line", "values": [1.0, NAN, 0.0]},
+    _circle(1e300, 0.5, 0.0, 3),
+    _atoms(2, 3, [(1.0, (1e100, 1e100))]),
+    # wrong JSON types
+    None, 5, "power", [1.0, 0.5], {},
+    {"kind": 5}, {"kind": "power"}, {"kind": "power", "values": "abc"},
+    {"kind": "power", "values": [[1.0, 2.0], [3.0]]},
+    {"kind": "power", "support": "nowhere", "values": [1.0, 0.5]},
+    {"kind": "power", "support": [0.0, None], "values": [1.0, 0.5]},
+    {"kind": "trig", "values": [[1.0]]}, {"kind": "trig", "values": [1.0, 2.0]},
+    {"kind": "multi", "dimension": "2", "order": 1, "values": []},
+    {"kind": "multi", "dimension": 2, "order": 1, "values": [[[[0], [0]], 1.0]]},
+    {"kind": "multi", "dimension": 2, "order": 1, "values": [[[0, 0], "1"]]},
+    # absurd shapes, and shapes over the size cutoffs
+    {"kind": "multi", "dimension": 5000, "order": 0, "values": [[[0] * 5000, 1.0]]},
+    {"kind": "multi", "dimension": 4, "order": 30, "values": [[[0, 0, 0, 0], 1.0]]},
+    {"kind": "multi", "dimension": 1, "order": 100_000_000, "values": [[[0], 1.0]]},
+    {"kind": "power", "support": "half_line", "values": [1.0] + [0.0] * 100},
+])
+DIRECTIONS = st.sampled_from([None, [[1.0, 1.0], [2.0, 1.0]], [[1.0, 3.0]], [], [[0.0, 1.0]], "x"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    payload=st.one_of(VALID, FIXED),
+    pipeline=st.sampled_from(["line", "circle", "polydisk", "raybeam"]),
+    bad=st.one_of(st.none(), st.sampled_from(BAD_SETTINGS)),
+    directions=DIRECTIONS,
+    skip=st.booleans(),
+    sweeps=st.integers(1, 200),
+    grid=st.sampled_from([4, 64, 256]),
+)
+def test_every_run_ends_in_a_documented_exit_code(
+    payload, pipeline, bad, directions, skip, sweeps, grid
+):
+    assert {key for key, _ in BAD_SETTINGS} == set(DEFAULTS)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = [write_json(tmp / "m.json", payload), "--pipeline", pipeline,
+                "--max-sweeps", str(sweeps), "--grid", str(grid), "-o", str(tmp / "out")]
+        if skip:
+            argv.append("--skip-condition")
+        if directions is not None:
+            argv += ["--directions", write_json(tmp / "dirs.json", directions)]
+        if bad is not None:
+            argv += ["--config", write_json(tmp / "cfg.json", dict([bad]))]
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_NOCONV, EXIT_RANGE)
+        if bad is not None:
+            assert code == EXIT_PARSE
+        # a bad setting may name another output directory; none may appear
+        written = list(tmp.glob("**/report.json"))
+        if code == EXIT_PARSE:
+            assert not (tmp / "out").exists() and not written
+        else:
+            assert written == [tmp / "out" / "report.json"]
+            strict_load(written[0])

@@ -60,17 +60,13 @@ CLAMP_MARGIN = 0.5
 BAD_INPUT = (ValueError, TypeError, OverflowError, RecursionError)
 
 # Cutoffs on the size of a run, checked before any work, so that a few bytes
-# of input cannot ask for unbounded time or memory.  Costs on a shared 2-core
-# host: a Gauss-Legendre rule (a dense eigenproblem, run for the node count
-# and for one more) takes 0.84 s at 2,048 nodes and 6.9 s at 4,096; a circle
-# run of order 64 takes 1.7 s and 300 MB on 65,536 points, 7 s and 1.1 GB on
-# 262,144; the Legendre basis takes 0.25 s at order 64 and 0.6 s at order
-# 100; polydisk conditioning takes 0.43 s at 861 coefficients and 1.0 s at
-# 1,820.  The count is N + 1 for power and trig moments, C(d + n, d) for multi.
+# of settings cannot ask for unbounded time or memory (`moments_from_json`
+# bounds the moments file).  Costs on a shared 2-core host: a Gauss-Legendre
+# rule (a dense eigenproblem, run for the node count and for one more) takes
+# 0.84 s at 2,048 nodes and 6.9 s at 4,096; a circle run of order 64 takes
+# 1.7 s and 300 MB on 65,536 points, 7 s and 1.1 GB on 262,144.
 MAX_GRID = 2**16
 MAX_NODES = 2048
-MAX_ORDER = 64
-MAX_COEFFICIENTS = 1000
 
 DEFAULTS = {
     "pipeline": "line",
@@ -95,47 +91,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("moments", help="moments file (JSON)")
     p.add_argument(
-        "--pipeline",
-        choices=list(PIPELINES),
-        default=None,
-        help="which reconstruction pipeline to run",
+        "--pipeline", choices=list(PIPELINES), help="which reconstruction pipeline to run"
     )
-    p.add_argument("--grid", type=int, default=None, help="output grid size (power of two)")
+    p.add_argument("--grid", type=int, help="output grid size (power of two)")
     p.add_argument(
         "--tol",
         type=float,
-        default=None,
         help="maxent residual tolerance, on the quadrature and on a rule with one more node",
     )
     p.add_argument(
-        "--max-sweeps",
-        type=int,
-        default=None,
-        dest="max_sweeps",
-        help="maxent budget in Newton steps plus coordinate updates",
+        "--max-sweeps", type=int, help="maxent budget in Newton steps plus coordinate updates"
     )
-    p.add_argument("--delta", type=float, default=None, help="preconditioning offset")
-    p.add_argument("--nodes", type=int, default=None, help="quadrature node count")
+    p.add_argument("--delta", type=float, help="preconditioning offset")
+    p.add_argument("--nodes", type=int, help="quadrature node count")
     p.add_argument(
         "--skip-condition",
         action="store_true",
-        default=None,
-        dest="skip_condition",
         help="feed raw moments to maxent (negative control)",
     )
-    p.add_argument("--directions", default=None, help="JSON file with ray directions")
-    p.add_argument("--config", default=None, help="JSON config file; overrides flags")
-    p.add_argument("--output", "-o", default=None, help="output directory")
+    p.add_argument("--directions", help="JSON file with ray directions")
+    p.add_argument("--config", help="JSON config file; overrides flags")
+    p.add_argument("--output", "-o", help="output directory")
+    p.set_defaults(**DEFAULTS)
     return p
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """defaults < command-line flags < config file."""
-    cfg = dict(DEFAULTS)
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    cfg = {key: getattr(args, key) for key in DEFAULTS}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
@@ -188,26 +171,6 @@ def _is_finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
-def _check_size(payload) -> None:
-    """Refuse moments over the size cutoffs before any array of their size
-    is built: a few bytes of `multi` header can name any dense length."""
-    if not isinstance(payload, dict):
-        return  # moments_from_json names the fault
-    if payload.get("kind") == "multi":
-        d, order = payload.get("dimension"), payload.get("order")
-        if not (type(d) is int and type(order) is int and d >= 0 and order >= 0):
-            return
-    elif isinstance(payload.get("values"), list):
-        d, order = 1, len(payload["values"]) - 1
-    else:
-        return
-    if order > MAX_ORDER:
-        raise ValueError(f"moment order {order} is over the cutoff {MAX_ORDER}")
-    count = math.comb(d + order, d)
-    if count > MAX_COEFFICIENTS:
-        raise ValueError(f"{count} moment coefficients are over the cutoff {MAX_COEFFICIENTS}")
-
-
 def _sign_oracle_residual() -> float:
     """Self-check of the inversion sign on the half-height jump phase.
 
@@ -225,25 +188,21 @@ def _sign_oracle_residual() -> float:
     return float(np.max(np.abs(rho[inner] - exact[inner]) / exact[inner]))
 
 
-def _provenance(moments_bytes: bytes, cfg: dict) -> dict:
-    digest = hashlib.sha256(moments_bytes).hexdigest()
+def _provenance(digests: dict, cfg: dict) -> dict:
+    """What a run was computed from: `digests` holds the SHA-256 of each
+    input file's bytes, as read by the input stage."""
     # file-system locations do not influence the computation and are kept
     # out of the block so identical runs give byte-identical reports
     computational = {
         k: v for k, v in sorted(cfg.items()) if k not in ("output", "directions")
     }
-    prov = {
-        "input_sha256": digest,
+    return {
+        **digests,
         "config": computational,
         "plemelj_sign": PLEMELJ_EXP_SIGN,
         "sign_oracle_residual": _sign_oracle_residual(),
         "version": __version__,
     }
-    if cfg.get("directions"):
-        prov["directions_sha256"] = hashlib.sha256(
-            Path(cfg["directions"]).read_bytes()
-        ).hexdigest()
-    return prov
 
 
 def _finite(value, key: str, non_finite: set):
@@ -336,8 +295,10 @@ class _Domain:
     input_mass: Callable  # source -> total mass of the measure
 
 
+# conditioning is looked up by name at each call, so a wrapper installed on
+# the module (a tracer, a test double) sees it
 LINE = _Domain(
-    condition=condition_line,
+    condition=lambda source: condition_line(source),
     solve=_solve_line,
     grid_kind="interval",
     phase_max=1.0,
@@ -346,7 +307,7 @@ LINE = _Domain(
 )
 
 CIRCLE = _Domain(
-    condition=condition_circle,
+    condition=lambda source: condition_circle(source),
     solve=_solve_circle,
     grid_kind="circle",
     phase_max=np.pi,
@@ -413,14 +374,9 @@ def _run_polydisk(cfg, a_mu: MultiMoments, outdir: Path, report: dict) -> int:
     return EXIT_OK
 
 
-def _run_raybeam(cfg, gamma: MultiMoments, outdir: Path, report: dict) -> int:
-    if cfg["directions"] is None:
-        raise ValueError("raybeam pipeline needs --directions FILE")
-    with open(cfg["directions"], "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    directions = [RayDirection.of(d) for d in raw]
-    if not directions:
-        raise ValueError("the directions file lists no direction")
+def _run_raybeam(
+    cfg, gamma: MultiMoments, outdir: Path, report: dict, directions: list[RayDirection]
+) -> int:
     slices = ray_sweep(
         gamma,
         directions,
@@ -449,6 +405,20 @@ def _run_raybeam(cfg, gamma: MultiMoments, outdir: Path, report: dict) -> int:
     return EXIT_OK
 
 
+def _directions(payload, gamma: MultiMoments) -> list[RayDirection]:
+    """The rays of a directions file, each checked before any ray runs."""
+    if not isinstance(payload, list) or not payload:
+        raise ValueError("a directions file holds a non-empty JSON list of directions")
+    directions = [RayDirection.of(y) for y in payload]
+    for i, y in enumerate(directions):
+        if y.dimension != gamma.dimension:
+            raise ValueError(
+                f"direction {i} has {y.dimension} components, the moments have "
+                f"dimension {gamma.dimension}"
+            )
+    return directions
+
+
 # pipeline name -> (moment container it reads, runner)
 PIPELINES = {
     "line": (PowerMoments, partial(_run_phase, LINE)),
@@ -470,15 +440,21 @@ def main(argv=None) -> int:
     expected, run = PIPELINES[cfg["pipeline"]]
     try:
         data = Path(args.moments).read_bytes()
-        payload = json.loads(data.decode("utf-8"))
-        _check_size(payload)
-        moments = moments_from_json(payload)
+        moments = moments_from_json(json.loads(data.decode("utf-8")))
         if not isinstance(moments, expected):
             raise TypeError(
                 f"{cfg['pipeline']} pipeline expects {expected.__name__}, "
                 f"got {type(moments).__name__}"
             )
-        report: dict = {"pipeline": cfg["pipeline"], "provenance": _provenance(data, cfg)}
+        digests = {"input_sha256": hashlib.sha256(data).hexdigest()}
+        inputs = {}
+        if cfg["pipeline"] == "raybeam":
+            if cfg["directions"] is None:
+                raise ValueError("raybeam pipeline needs --directions FILE")
+            data = Path(cfg["directions"]).read_bytes()
+            inputs["directions"] = _directions(json.loads(data.decode("utf-8")), moments)
+            digests["directions_sha256"] = hashlib.sha256(data).hexdigest()
+        report: dict = {"pipeline": cfg["pipeline"], "provenance": _provenance(digests, cfg)}
     except (OSError, KeyError, *BAD_INPUT) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -486,7 +462,7 @@ def main(argv=None) -> int:
     outdir = Path(cfg["output"])
     try:
         try:
-            code = run(cfg, moments, outdir, report)
+            code = run(cfg, moments, outdir, report, **inputs)
         except PhaseRangeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             report["error"] = str(exc)

@@ -40,6 +40,17 @@ __all__ = [
 IMAG_TOL = 1e-10  # tolerated imaginary leakage when a real pipeline crosses a boundary
 HANKEL_REL_TOL = 1e-10  # Hankel eigenvalues within this times max|gamma| of 0 are on the boundary
 
+# Cutoffs on the size of a moments file, checked before any array of that size
+# exists.  Costs on a shared 2-core host: the Legendre basis takes 0.25 s at
+# order 64 and 0.6 s at order 100; polydisk conditioning takes 0.43 s at 861
+# coefficients and 1.0 s at 1,820.  The count is N + 1 for power and trig
+# moments, C(d + n, d) for multi, so at any order above 0 a dimension over
+# MAX_COEFFICIENTS - 1 is already over the count; the dimension bound adds
+# order 0, whose one coefficient would still need an index of d entries.
+MAX_ORDER = 64
+MAX_COEFFICIENTS = 1000
+MAX_DIMENSION = MAX_COEFFICIENTS - 1
+
 
 @dataclass(frozen=True)
 class Support:
@@ -350,7 +361,11 @@ def moments_to_json(m) -> dict:
 
 
 def moments_from_json(payload: dict):
-    """Parse the moment-file schema back into a container."""
+    """Parse the moment-file schema back into a container.
+
+    The size cutoffs are checked from each kind's header (or its list
+    length) before any array of that size is built.
+    """
     if not isinstance(payload, dict):
         raise ValueError("a moments file holds one JSON object")
     kind = payload.get("kind")
@@ -362,20 +377,17 @@ def moments_from_json(payload: dict):
             sup = Support.interval(float(support[0]), float(support[1]))
         else:
             raise ValueError(f'support must be "half_line" or [a, b], got {support!r}')
-        values = np.asarray(payload["values"], dtype=float)
-        if values.size == 0:
-            raise ValueError("empty moment sequence")
-        moments = PowerMoments(values, sup)
+        _check_size(1, len(payload["values"]) - 1)
+        moments = PowerMoments(np.asarray(payload["values"], dtype=float), sup)
     elif kind == "trig":
         raw = payload["values"]
-        if len(raw) == 0:
-            raise ValueError("empty moment sequence")
-        values = np.array([complex(re, im) for re, im in raw])
-        moments = TrigMoments(values)
+        _check_size(1, len(raw) - 1)
+        moments = TrigMoments(np.array([complex(re, im) for re, im in raw]))
     elif kind == "multi":
         d, order = payload["dimension"], payload["order"]
         if type(d) is not int or type(order) is not int:
             raise ValueError(f"dimension and order must be integers, got {d!r}, {order!r}")
+        _check_size(d, order)
         values = payload["values"]
         entries = {tuple(idx): float(v) for idx, v in values}
         if len(entries) < len(values):
@@ -390,3 +402,17 @@ def moments_from_json(payload: dict):
     if not np.all(np.isfinite(moments.values)):
         raise ValueError("moment values must be finite")
     return moments
+
+
+def _check_size(dimension: int, order: int) -> None:
+    """Refuse a moment shape over the size cutoffs: a few bytes of header can
+    name any dense length, so this runs before anything of that length exists."""
+    if order < 0:
+        raise ValueError("empty moment sequence")
+    if not 1 <= dimension <= MAX_DIMENSION:
+        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {dimension}")
+    if order > MAX_ORDER:
+        raise ValueError(f"moment order {order} is over the cutoff {MAX_ORDER}")
+    count = math.comb(dimension + order, dimension)
+    if count > MAX_COEFFICIENTS:
+        raise ValueError(f"{count} moment coefficients are over the cutoff {MAX_COEFFICIENTS}")

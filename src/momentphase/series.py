@@ -14,8 +14,11 @@ references the recurrences are tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations_with_replacement
+from operator import add
 
 import numpy as np
 
@@ -33,9 +36,10 @@ __all__ = [
 def graded_indices(dimension: int, order: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices with total degree <= order, graded-lex ordered.
 
-    Graded ordering (degree first, lexicographic within a degree) is what the
-    graded recurrences require: every coefficient of degree m depends only on
-    coefficients of degree < m.  It also lists every lower truncation first.
+    Graded ordering (degree first, descending lexicographic within a degree)
+    is what the graded recurrences require: every coefficient of degree m
+    depends only on coefficients of degree < m.  It also lists every lower
+    truncation first.
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
@@ -43,19 +47,14 @@ def graded_indices(dimension: int, order: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("order must be >= 0")
     out: list[tuple[int, ...]] = []
     for total in range(order + 1):
-        out.extend(_compositions(total, dimension))
+        # the multisets of `total` coordinates, in lexicographic order, are
+        # the exponents of that degree in descending lexicographic order
+        for coords in combinations_with_replacement(range(dimension), total):
+            alpha = [0] * dimension
+            for i in coords:
+                alpha[i] += 1
+            out.append(tuple(alpha))
     return tuple(out)
-
-
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Multi-indices of exact total degree, lexicographically ordered."""
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for head in range(total, -1, -1):
-        for tail in _compositions(total - head, parts - 1):
-            out.append((head,) + tail)
-    return sorted(out, reverse=True)
 
 
 @lru_cache(maxsize=None)
@@ -175,18 +174,17 @@ class FormalSeries:
 
 @lru_cache(maxsize=None)
 def _product_table(dimension: int, order: int) -> tuple[np.ndarray, ...]:
-    """For each index position pa, the (pb, pc) pairs with alpha_a+alpha_b=alpha_c."""
+    """For each index position pa, the (pb, pc) pairs with alpha_a+alpha_b=alpha_c.
+
+    The partners of an index of degree m are those of degree <= order - m:
+    in graded order, the first C(dimension + order - m, dimension) indices.
+    """
     idx = graded_indices(dimension, order)
     pos = _positions(dimension, order)
     table: list[np.ndarray] = []
     for ia in idx:
-        deg_a = sum(ia)
-        pairs = []
-        for pb, ib in enumerate(idx):
-            if deg_a + sum(ib) > order:
-                continue
-            ic = tuple(x + y for x, y in zip(ia, ib))
-            pairs.append((pb, pos[ic]))
+        partners = idx[: math.comb(dimension + order - sum(ia), dimension)]
+        pairs = [(pb, pos[tuple(map(add, ia, ib))]) for pb, ib in enumerate(partners)]
         table.append(np.array(pairs, dtype=np.intp).reshape(-1, 2))
     return tuple(table)
 

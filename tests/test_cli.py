@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -177,6 +179,10 @@ def test_skip_condition_negative_control(tmp_path):
                       "values": [[[0], 1.0], [[1], 0.1]]}),
         ("raybeam", {"kind": "multi", "dimension": 2, "order": 100_000_000,
                      "values": [[[0, 0], 1.0], [[1, 0], 0.1]]}),
+        ("polydisk", {"kind": "multi", "dimension": 5000, "order": 0,
+                      "values": [[[0] * 5000, 1.0]]}),
+        ("polydisk", {"kind": "multi", "dimension": 10_000_000, "order": 0,
+                      "values": [[[0], 1.0]]}),
         ("line", {"kind": "power", "support": "half_line", "values": [1.0] + [0.0] * 65}),
         ("circle", {"kind": "trig", "values": [[0.2, 0.0]] + [[0.0, 0.0]] * 65}),
     ],
@@ -186,6 +192,7 @@ def test_skip_condition_negative_control(tmp_path):
          "multi-fractional-index", "multi-fractional-dimension", "multi-repeated-index",
          "power-int-overflow", "trig-int-overflow", "multi-int-overflow",
          "multi-over-coefficient-cutoff", "multi-over-order-cutoff", "raybeam-over-order-cutoff",
+         "multi-over-dimension-cutoff", "multi-far-over-dimension-cutoff",
          "power-over-order-cutoff", "trig-over-order-cutoff"],
 )
 def test_empty_moments_file_is_parse_error(tmp_path, pipeline, payload):
@@ -194,6 +201,24 @@ def test_empty_moments_file_is_parse_error(tmp_path, pipeline, payload):
     with np.errstate(all="ignore"):
         assert main([path, "--pipeline", pipeline, "-o", str(out)]) == EXIT_PARSE
     assert not out.exists()
+
+
+def test_widest_multi_header_under_the_cutoffs_runs_at_once(tmp_path):
+    # 901 coefficients of dimension 900: the index and product tables must
+    # grow with the pairs whose degrees fit, not with all pairs times the
+    # dimension (about 9 s on a 2-core host); the run takes well under 1 s
+    d = 900
+    path = write_json(
+        tmp_path / "wide.json",
+        {"kind": "multi", "dimension": d, "order": 1,
+         "values": [[[0] * d, 1.0], [[1] + [0] * (d - 1), 0.1]]},
+    )
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main([path, "--pipeline", "polydisk", "-o", str(out)]) == EXIT_OK
+    assert time.perf_counter() - start < 4.0
+    entries = json.loads((out / "conditioned.json").read_text())["entries"]
+    assert [idx[:2] for idx, _, _ in entries] == [[0, 0], [1, 0]]
 
 
 def test_malformed_json_is_parse_error(tmp_path):
@@ -227,13 +252,26 @@ def test_wrong_kind_for_pipeline_is_parse_error(tmp_path, capsys):
         (2, [], None),
         (3, [[1.0, 1.0]], [1, 1]),
         (2, [[10**400, 1.0]], None),
+        (2, [[1, 1], [1, 2, 3]], None),
+        (2, {"y": [1.0, 1.0]}, None),
     ],
     ids=["zero-direction-component", "two-moments", "nan-direction-component",
          "inf-direction-component", "no-directions", "ray-conditioning-overflow",
-         "int-overflow-direction-component"],
+         "int-overflow-direction-component", "mixed-dimension-directions",
+         "directions-not-a-list"],
 )
-def test_bad_ray_input_exits_before_output(tmp_path, order, directions, huge):
-    # `huge` names the one moment set to 1e308, whose ray phase moments overflow
+def test_bad_ray_input_exits_before_output(
+    tmp_path, monkeypatch, capsys, order, directions, huge
+):
+    # `huge` names the one moment set to 1e308, whose ray phase moments
+    # overflow; every fault of the directions file is refused as input, before
+    # any ray is solved
+    import momentphase.raybeam
+
+    solved = []
+    monkeypatch.setattr(
+        momentphase.raybeam, "solve_power_moments", lambda *a, **k: solved.append(a)
+    )
     values = [
         [[i, j], 1e308 if [i, j] == huge else 1.0 / ((i + 1) * (j + 1))]
         for i in range(order + 1)
@@ -249,6 +287,10 @@ def test_bad_ray_input_exits_before_output(tmp_path, order, directions, huge):
         code = main([path, "--pipeline", "raybeam", "--directions", dirs, "-o", str(out)])
     assert code == EXIT_PARSE
     assert not out.exists()
+    assert solved == []
+    # with order 2 the moments are sound: the fault is the directions file's
+    if order == 2:
+        assert capsys.readouterr().err.startswith("error: cannot read input:")
 
 
 def test_phase_range_violation_exits_4(tmp_path):
@@ -576,7 +618,10 @@ def test_raybeam_csv_x_column_is_each_files_own_grid(tmp_path, window):
     assert len(headers) == (3 if window is None else 1)
 
 
-def test_provenance_hashes_the_bytes_of_both_input_files(tmp_path):
+def test_provenance_hashes_the_bytes_of_both_input_files(tmp_path, monkeypatch):
+    import builtins
+    import io
+
     n = 3
     values = [
         [[i, j], 1.0 / ((i + 1) * (j + 1))] for i in range(n + 1) for j in range(n + 1 - i)
@@ -590,12 +635,25 @@ def test_provenance_hashes_the_bytes_of_both_input_files(tmp_path):
     )
     dirs = tmp_path / "dirs.json"
     dirs.write_text("[[1.0, 1.0],\n [2.0, 1.0]]\n", encoding="utf-8")
+    # each input file is opened once in the run: what is hashed is what was parsed
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
+
     out = tmp_path / "out"
-    code = main(
-        [str(path), "--pipeline", "raybeam", "--directions", str(dirs), "--grid", "256",
-         "--tol", "1e-5", "-o", str(out)]
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", counting_open)
+        patch.setattr(io, "open", counting_open)
+        code = main(
+            [str(path), "--pipeline", "raybeam", "--directions", str(dirs), "--grid", "256",
+             "--tol", "1e-5", "-o", str(out)]
+        )
     assert code == EXIT_OK
+    assert opened.count(str(path)) == 1
+    assert opened.count(str(dirs)) == 1
     provenance = json.loads((out / "report.json").read_text())["provenance"]
     assert provenance["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert provenance["directions_sha256"] == hashlib.sha256(dirs.read_bytes()).hexdigest()

@@ -295,6 +295,12 @@ def test_graded_order_is_by_total_degree():
     degrees = [sum(i) for i in idx]
     assert degrees == sorted(degrees)
     assert len(set(idx)) == len(idx)
+    # descending lexicographic within a degree: conditioned.json lists its
+    # entries in this order
+    for m in range(5):
+        same_degree = [i for i in idx if sum(i) == m]
+        assert same_degree == sorted(same_degree, reverse=True)
+    assert idx[4:10] == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
 
 def test_from_dict_rejects_overflow_index():

@@ -3,8 +3,9 @@
 Exit codes are part of the contract so harnesses can assert on them, and
 `main` decides each one: 0 success, 2 unreadable/invalid input or an output
 path that cannot be written, 3 maximum-entropy non-convergence (the expected
-outcome when raw singular-measure moments bypass conditioning), 4 phase
-values out of range at inversion time.
+outcome when raw singular-measure moments bypass conditioning; the report
+names the solver's stop reason), 4 phase values out of range at inversion
+time.
 """
 
 from __future__ import annotations
@@ -99,9 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         help="maxent residual tolerance, on the quadrature and on a rule with one more node",
     )
-    p.add_argument(
-        "--max-sweeps", type=int, help="maxent budget in Newton steps plus coordinate updates"
-    )
+    p.add_argument("--max-sweeps", type=int, help="maxent Newton step budget")
     p.add_argument("--delta", type=float, help="preconditioning offset")
     p.add_argument("--nodes", type=int, help="quadrature node count")
     p.add_argument(
@@ -256,7 +255,7 @@ def _phase_interval(cfg, conditioned: PowerMoments, source: PowerMoments):
         return source.support.bounds
     # The window is symmetric about the phase's mean, clipped at 0: one
     # that always starts at 0 leaves a phase far from the origin with most
-    # quadrature nodes where it vanishes, and the dual ascent stalls there.
+    # quadrature nodes where it vanishes, and the solve stalls there.
     c = conditioned.values
     hi = support_cutoff(c, span=cfg["span"])
     return max(0.0, 2 * float(c[1] / c[0]) - hi), hi
@@ -328,7 +327,7 @@ def _run_phase(domain: _Domain, cfg, source, outdir: Path, report: dict) -> int:
     sol, (a, b) = domain.solve(cfg, target, source, report)
     report["solver"] = sol.report()
     if not sol.converged:
-        print("maxent did not converge; see report.json", file=sys.stderr)
+        print(f"maxent did not converge ({sol.stop_reason}); see report.json", file=sys.stderr)
         return EXIT_NOCONV
 
     grid = GridFunction(domain.grid_kind, a, b, np.zeros(cfg["grid"]))

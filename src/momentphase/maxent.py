@@ -1,22 +1,20 @@
-"""Discretized maximum-entropy reconstruction by Newton-started dual ascent.
+"""Discretized maximum-entropy reconstruction by damped Newton descent.
 
 The density is an exponential family p_j = exp[(A^T alpha)_j - 1] on a fixed
 quadrature; moments are matrix products against the weighted density.  The
 problem is first preconditioned so that basis values sit in (0, 1) and
-targets are positive.  Damped Newton steps on the convex dual then start
-the solve; if they stop short, dual variables are updated one at a time with
-the multiplicative correction lambda = log(mu_i / moment_i(alpha)).  The
-budget counts Newton steps plus coordinate updates.  A solve converges only
-when the moment residual is below tolerance on the quadrature and on a rule
-with one more node, so a spike on quadrature nodes never passes for a
-density.  Non-convergence is a meaningful outcome, not an error: moment
-sequences of singular measures admit no exponential-family density and the
-iteration stalls on them by design.
+targets are positive; damped Newton steps on the convex dual then solve it
+within a budget of steps.  A solve converges only when the moment residual
+is below tolerance on the quadrature and on a rule with one more node, so a
+spike on quadrature nodes never passes for a density.  Every solve names
+why it stopped.  Non-convergence is a meaningful outcome, not an error:
+moment sequences of singular measures admit no exponential-family density,
+the dual then has no minimiser, and Newton stops on them within a few
+dozen steps.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -43,7 +41,6 @@ __all__ = [
 ]
 
 EXP_CLAMP = 700.0  # exp() overflows just above this for float64
-NEWTON_MAX_STEPS = 300  # Newton steps before the coordinate ascent takes over
 ARMIJO_FRACTION = 1e-4  # share of the predicted decrease a Newton step must achieve
 MAX_HALVINGS = 50  # step halvings before the line search gives up
 
@@ -149,11 +146,11 @@ def legendre_basis(quad: Quadrature, order: int) -> BasisMatrix:
     """Legendre polynomials shifted to the quadrature interval.
 
     Spans the same space as the monomials, so the maximum-entropy density is
-    unchanged, but the near-orthogonal rows cut the dual iteration count by
-    orders of magnitude on moment problems that are hopeless in the raw
-    monomial frame.  The rows are evaluated by recurrence (`rows_at`);
-    `coeff_rows` converts row i to monomial coefficients, which maps power
-    moments to Legendre targets and gives `monomial_dual`.
+    unchanged, but the near-orthogonal rows keep the dual well conditioned
+    on moment problems that are hopeless in the raw monomial frame.  The
+    rows are evaluated by recurrence (`rows_at`); `coeff_rows` converts row
+    i to monomial coefficients, which maps power moments to Legendre
+    targets and gives `monomial_dual`.
     """
     a, b = quad.interval
     coeff_rows = np.zeros((order + 1, order + 1))
@@ -191,7 +188,7 @@ class PreconditionMeta:
 def precondition(
     a: np.ndarray, mu: np.ndarray, delta: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, PreconditionMeta]:
-    """Affine remap of rows and targets into the convergent regime.
+    """Affine remap of rows into (0, 1) and of targets to positive values.
 
     u_i = -min_j a_ij + delta,  M_i = max_j (u_i + a_ij),  t_i = 1/(M_i+delta),
     a'_ij = t_i (u_i + a_ij),   mu'_i = t_i (u_i + mu_i).
@@ -200,7 +197,10 @@ def precondition(
     holds whenever mu is normalized so that the mass entry is one and the
     remaining entries are means of basis functions.  A density solving the
     conditioned problem solves the original one: the remap is affine and the
-    constant row absorbs the offsets.
+    constant row absorbs the offsets.  Newton's method is affine-invariant
+    only in exact arithmetic: on the raw Legendre rows, some atoms on an
+    interval support whose solves stop unconverged here instead pass both
+    residual rules with a spike between the nodes.
     """
     a = np.asarray(a, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -221,11 +221,13 @@ def precondition(
 
 @dataclass
 class DualSolution:
-    """Converged (or stalled) dual variables of a maxent problem.
+    """Converged (or stopped) dual variables of a maxent problem.
 
     `alpha` is expressed against the rows of `basis`, already unwound from
     the preconditioned frame, so `primal_eval(alpha, basis)` is the density
-    matching the original, unnormalized moments.
+    matching the original, unnormalized moments.  `stop_reason` is one of
+    "converged", "check_rule", "line_search", "singular_hessian" and
+    "max_iter" (see `fime_solve`).
     """
 
     alpha: np.ndarray
@@ -233,11 +235,12 @@ class DualSolution:
     iterations: int
     residual_norm: float
     basis: BasisMatrix
-    clipped: bool = False
+    stop_reason: str
 
     def report(self) -> dict:
         return {
             "converged": bool(self.converged),
+            "stop_reason": self.stop_reason,
             "iterations": int(self.iterations),
             "residual_norm": float(self.residual_norm),
             "alpha": [float(v) for v in self.alpha],
@@ -293,60 +296,6 @@ def _check_residual(alpha: np.ndarray, basis: BasisMatrix, mu: np.ndarray) -> fl
     return constraint_residual(alpha, check_basis, mu)[1]
 
 
-def _newton(
-    a_prime: np.ndarray,
-    mu_prime: np.ndarray,
-    weights: np.ndarray,
-    max_steps: int,
-    stop,
-) -> tuple[np.ndarray, int, tuple[float, bool]]:
-    """Damped Newton descent of the preconditioned dual from the origin.
-
-    D(a) = sum_j w_j exp((A'^T a)_j - 1) - a . mu' has gradient
-    A' (w p) - mu' and Hessian A' diag(w p) A'^T.  Steps are halved until
-    they meet the Armijo condition; a trial point that fires the exponent
-    clamp, or moves an exponent by more than EXP_CLAMP, fails it.  The
-    descent ends when `stop(a)` -> (residual, passed) passes, when no
-    halving is accepted, when the Hessian is singular or the step
-    non-finite, or after `max_steps` accepted steps.  Returns the last
-    accepted point, the number of steps and its `stop` value.
-    """
-    alpha = np.zeros(mu_prime.size)
-    s = np.zeros(weights.size)  # exponents A'^T alpha
-    wp = weights * np.exp(-1.0)
-    status = stop(alpha)
-    steps = 0
-    while steps < max_steps and not status[1]:
-        grad = a_prime @ wp - mu_prime
-        try:
-            step = -np.linalg.solve((a_prime * wp) @ a_prime.T, grad)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        ds = a_prime.T @ step
-        slope = float(grad @ step)
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            shift = t * ds
-            p, fired = _clamped_exp(s + shift - 1.0)
-            # D(alpha + t step) - D(alpha), by expm1 so that a decrease far
-            # below the size of D itself still resolves
-            if not fired and shift.max() <= EXP_CLAMP:
-                change = float(wp @ np.expm1(shift)) - t * float(step @ mu_prime)
-                if change <= ARMIJO_FRACTION * t * slope:
-                    break
-            t *= 0.5
-        else:
-            break
-        alpha = alpha + t * step
-        s = s + t * ds
-        wp = weights * p
-        steps += 1
-        status = stop(alpha)
-    return alpha, steps, status
-
-
 def fime_solve(
     basis: BasisMatrix,
     mu: np.ndarray,
@@ -354,24 +303,29 @@ def fime_solve(
     max_sweeps: int = 100_000,
     delta: float = 1.0,
 ) -> DualSolution:
-    """Newton-started cyclic multiplicative dual ascent.
+    """Damped Newton descent of the preconditioned maxent dual.
 
-    Both phases work on the preconditioned problem.  A damped Newton method
-    (`_newton`) runs first, for at most NEWTON_MAX_STEPS steps.  If it stops
-    short of the stopping rule, cyclic ascent continues from its last
-    point: each step picks the next row cyclically and shifts its dual by
-    log(mu'_i / moment'_i).
+    The name is that of the cyclic coordinate ascent (FIME) this solver
+    replaced; it stays because the benchmark's tracer times it by name.
+
+    On the preconditioned problem, D(a) = sum_j w_j exp((A'^T a)_j - 1) -
+    a . mu' has gradient A' (w p) - mu' and Hessian A' diag(w p) A'^T.
+    Starting at the origin, each step is halved until it meets the Armijo
+    condition; a trial point that fires the exponent clamp, or moves an
+    exponent by more than EXP_CLAMP, fails it, so accepted points never
+    clamp.  `max_sweeps` (at least one) is the budget of accepted steps.
 
     The stopping rule is the unconditioned residual |A ptilde - mu| < tol,
     measured on the caller's original moment scale, on the basis's own
-    quadrature and again on a rule with one more node (`_check_residual`).
-    The second rule refuses a spike on a few quadrature nodes, which can
-    match the moments of a point mass sitting on a node; if Newton ends on
-    such a spike, the ascent restarts at the origin.  `max_sweeps` (at least
-    one) counts Newton steps plus individual coordinate updates; exhausting
-    them returns converged=False rather than raising, because stalling is
-    how infeasible (singular-measure) inputs manifest.  The reported
-    residual is the main-rule value of the returned dual.
+    quadrature and again on a rule with one more node (`_check_residual`),
+    which refuses a spike on a few quadrature nodes.  The solve ends with
+    `stop_reason` "converged" when both rules pass; otherwise with
+    "line_search" (no halving accepted), "singular_hessian" (a singular
+    Hessian or a non-finite step) or "max_iter" (budget spent), each
+    replaced by "check_rule" if the main rule passes there and the check
+    rule does not.  Not converging returns, it does not raise: that is how
+    infeasible (singular-measure) inputs manifest.  The reported residual
+    is the main-rule value of the returned dual.
 
     Moments are normalized by the mass entry mu_0 internally; the returned
     alpha is mapped back to the caller's basis rows and scale.
@@ -384,51 +338,58 @@ def fime_solve(
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     mu0 = mu[0]
-    mu_hat = mu / mu0
-    a_prime, mu_prime, meta = precondition(basis.values, mu_hat, delta)
-    n_rows = basis.n_rows
+    a_prime, mu_prime, meta = precondition(basis.values, mu / mu0, delta)
     weights = basis.quadrature.weights
 
-    def to_native(a: np.ndarray) -> np.ndarray:
+    alpha = np.zeros(mu_prime.size)
+    s = np.zeros(weights.size)  # exponents A'^T alpha
+    wp = weights * np.exp(-1.0)
+    steps = 0
+    while True:
         # unwind the affine preconditioning and the mass normalization:
         # (A'^T a)_j = sum_i t_i a_i a_ij + sum_i t_i u_i a_i, and scaling
         # the density by mu0 shifts the constant-row dual by log(mu0)
-        out = meta.factors * a
-        out[0] += float(np.sum(a * meta.factors * meta.offsets)) + np.log(mu0)
-        return out
-
-    def stop(a: np.ndarray) -> tuple[float, bool]:
-        # main-rule residual of the unwound dual, and whether both rules pass
-        native = to_native(a)
-        _, res = constraint_residual(native, basis, mu)
-        return res, res < tol and _check_residual(native, basis, mu) < tol
-
-    alpha, k, (res_norm, converged) = _newton(
-        a_prime, mu_prime, weights, min(NEWTON_MAX_STEPS, max_sweeps), stop
-    )
-    clipped = False
-    if not converged and k < max_sweeps:
-        if res_norm < tol:  # a node spike: start the ascent afresh
-            alpha = np.zeros(n_rows)
-        s = a_prime.T @ alpha
-        while k < max_sweeps:
-            for i in range(n_rows):
-                p, fired = _clamped_exp(s - 1.0)
-                clipped |= fired
-                lam = np.log(mu_prime[i] / (a_prime[i] @ (weights * p)))
-                alpha[i] += lam
-                s += lam * a_prime[i]
-                k += 1
-                if k >= max_sweeps:
+        native = meta.factors * alpha
+        native[0] += float(np.sum(alpha * meta.factors * meta.offsets)) + np.log(mu0)
+        _, res_norm = constraint_residual(native, basis, mu)
+        if res_norm < tol and _check_residual(native, basis, mu) < tol:
+            reason = "converged"
+            break
+        if steps == max_sweeps:
+            reason = "max_iter"
+            break
+        grad = a_prime @ wp - mu_prime
+        try:
+            step = -np.linalg.solve((a_prime * wp) @ a_prime.T, grad)
+            singular = not np.all(np.isfinite(step))
+        except np.linalg.LinAlgError:
+            singular = True
+        if singular:
+            reason = "singular_hessian"
+            break
+        ds = a_prime.T @ step
+        slope = float(grad @ step)
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            shift = t * ds
+            exponent = s + shift - 1.0
+            # D(alpha + t step) - D(alpha), by expm1 so that a decrease far
+            # below the size of D itself still resolves
+            if exponent.max() <= EXP_CLAMP and shift.max() <= EXP_CLAMP:
+                change = float(wp @ np.expm1(shift)) - t * float(step @ mu_prime)
+                if change <= ARMIJO_FRACTION * t * slope:
                     break
-            res_norm, converged = stop(alpha)
-            if converged:
-                break
-            s = a_prime.T @ alpha  # refresh against incremental drift
-
-    if clipped:
-        warnings.warn("primal exponent clamped during dual ascent", RuntimeWarning)
-    return DualSolution(to_native(alpha), converged, k, res_norm, basis, clipped)
+            t *= 0.5
+        else:
+            reason = "line_search"
+            break
+        alpha = alpha + t * step
+        s = s + t * ds
+        wp = weights * np.exp(exponent)
+        steps += 1
+    if reason != "converged" and res_norm < tol:
+        reason = "check_rule"
+    return DualSolution(native, reason == "converged", steps, res_norm, basis, reason)
 
 
 def solve_power_moments(
@@ -441,11 +402,11 @@ def solve_power_moments(
 ) -> DualSolution:
     """Maxent density on an interval matching power moments mu_0..mu_N.
 
-    The dual ascent runs in the shifted-Legendre frame: the targets are
+    The solve runs in the shifted-Legendre frame: the targets are
     transformed exactly (mu_leg = C mu), the density is unchanged, and the
-    near-orthogonal rows converge orders of magnitude faster than raw
-    monomial rows.  The returned solution lives in that frame (alpha, basis,
-    residual all consistent); use `monomial_dual` for the polynomial
+    near-orthogonal rows keep the Newton systems far better conditioned
+    than raw monomial rows.  The returned solution lives in that frame
+    (alpha, basis, residual all consistent); use `monomial_dual` for the polynomial
     coefficients of log density + 1, and `constraint_residual` against a
     `monomial_basis` to measure the mismatch on the original moment scale.
     """

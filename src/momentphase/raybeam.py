@@ -106,9 +106,10 @@ def support_cutoff(c: np.ndarray, span: float = 1.0) -> float:
 
     A [0, 1]-valued profile of mass c_0 and mean c_1/c_0 cannot end before
     mean + c_0/2 (a block of height one is the most compact arrangement);
-    `span` standard deviations are added on top.  Tight windows matter: the
-    dual ascent slows badly when most quadrature nodes sit where the phase
-    vanishes.
+    `span` standard deviations are added on top.  The width matters both
+    ways: the solve can fail when most quadrature nodes sit where the phase
+    vanishes, and no density on a window that cuts the phase short matches
+    the moments.
     """
     c = np.asarray(c, dtype=float)
     if c.size < 3:

@@ -14,7 +14,6 @@ from .conditioning import (  # noqa: F401
     Feasibility,
     MultiMoments,
     PowerMoments,
-    Support,
     TrigMoments,
     condition_circle,
     condition_line,

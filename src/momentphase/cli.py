@@ -40,6 +40,7 @@ from .transform import (
     PLEMELJ_EXP_SIGN,
     GridFunction,
     PhaseRangeError,
+    clip_phase,
     invert_circle,
     invert_line,
     write_csv,
@@ -53,7 +54,8 @@ EXIT_RANGE = 4
 # Low moment orders overshoot a jumpy phase by tens of percent (the smooth
 # exponential family rings around steps); that is approximation error and is
 # projected back into range.  Overshoot beyond half the admissible range
-# means the input moments were never a phase's, and the run stops instead.
+# means the input moments were never a phase's, and a line or circle run
+# stops instead; rays only report their overshoot.
 CLAMP_MARGIN = 0.5
 
 # What malformed outside input (settings, moments, directions) raises while it
@@ -237,22 +239,12 @@ def _dump_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _clamped_phase(values: np.ndarray, hi: float, report: dict) -> np.ndarray:
-    worst = max(float(-values.min()), float(values.max() - hi), 0.0)
-    if worst > CLAMP_MARGIN * hi:
-        raise PhaseRangeError(
-            f"phase exceeds [0, {hi:g}] by {worst:.3g}, beyond the clamp margin"
-        )
-    report["phase_clamp"] = {"max_violation": worst}
-    return np.clip(values, 0.0, hi)
-
-
 def _phase_interval(cfg, conditioned: PowerMoments, source: PowerMoments):
-    if source.support.kind == "interval":
+    if source.bounds is not None:
         # The phase of a measure on [a, b] lives on [a, b] unless an atom
         # sits at the right endpoint (which pushes it right by its mass);
         # callers with edge atoms should pass half_line or a wider window.
-        return source.support.bounds
+        return source.bounds
     # The window is symmetric about the phase's mean, clipped at 0: one
     # that always starts at 0 leaves a phase far from the origin with most
     # quadrature nodes where it vanishes, and the solve stalls there.
@@ -336,7 +328,13 @@ def _run_phase(domain: _Domain, cfg, source, outdir: Path, report: dict) -> int:
     if cfg["skip_condition"]:
         density = grid.with_values(profile)
     else:
-        phi = grid.with_values(_clamped_phase(profile, domain.phase_max, report))
+        clipped, worst = clip_phase(profile, domain.phase_max)
+        if worst > CLAMP_MARGIN * domain.phase_max:
+            raise PhaseRangeError(
+                f"phase exceeds [0, {domain.phase_max:g}] by {worst:.3g}, beyond the clamp margin"
+            )
+        report["phase_clamp"] = {"max_violation": worst}
+        phi = grid.with_values(clipped)
         density = domain.invert(phi, source)
         write_csv(phi, _out(outdir, "phase.csv"))
         outputs["phase_csv"] = "phase.csv"
@@ -385,20 +383,13 @@ def _run_raybeam(
         node_count=cfg["nodes"],
         **_budget(cfg),
     )
-    summaries = []
-    all_converged = True
+    report["rays"] = []
     for i, s in enumerate(slices):
-        write_csv(s.phase_grid, _out(outdir, f"phase_{i:03d}.csv"))
-        write_csv(s.radon_values, _out(outdir, f"slice_{i:03d}.csv"))
-        entry = s.summary()
-        entry["outputs"] = {
-            "phase_csv": f"phase_{i:03d}.csv",
-            "slice_csv": f"slice_{i:03d}.csv",
-        }
-        summaries.append(entry)
-        all_converged &= s.solution.converged
-    report["rays"] = summaries
-    if not all_converged:
+        outputs = {"phase_csv": f"phase_{i:03d}.csv", "slice_csv": f"slice_{i:03d}.csv"}
+        write_csv(s.phase_grid, _out(outdir, outputs["phase_csv"]))
+        write_csv(s.radon_values, _out(outdir, outputs["slice_csv"]))
+        report["rays"].append({**s.summary(), "outputs": outputs})
+    if not all(s.solution.converged for s in slices):
         print("one or more rays did not converge; see report.json", file=sys.stderr)
         return EXIT_NOCONV
     return EXIT_OK

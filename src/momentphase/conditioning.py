@@ -20,7 +20,6 @@ import numpy as np
 from .series import FormalSeries, series_log
 
 __all__ = [
-    "Support",
     "PowerMoments",
     "TrigMoments",
     "MultiMoments",
@@ -52,42 +51,25 @@ MAX_COEFFICIENTS = 1000
 MAX_DIMENSION = MAX_COEFFICIENTS - 1
 
 
-@dataclass(frozen=True)
-class Support:
-    """Support tag for 1-D power moments: the half line or an interval."""
-
-    kind: str  # "half_line" | "interval"
-    bounds: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("half_line", "interval"):
-            raise ValueError(f"unknown support kind {self.kind!r}")
-        if self.kind == "interval":
-            if self.bounds is None or not -math.inf < self.bounds[0] < self.bounds[1] < math.inf:
-                raise ValueError(f"interval support needs finite bounds a < b, got {self.bounds}")
-        elif self.bounds is not None:
-            raise ValueError("half_line support takes no bounds")
-
-    @classmethod
-    def half_line(cls) -> "Support":
-        return cls("half_line")
-
-    @classmethod
-    def interval(cls, a: float, b: float) -> "Support":
-        return cls("interval", (float(a), float(b)))
-
-
 @dataclass
 class PowerMoments:
-    """Real power moments gamma_0..gamma_N of a 1-D positive measure."""
+    """Real power moments gamma_0..gamma_N of a 1-D positive measure.
+
+    `bounds` is the support interval (a, b); None means the half line.
+    """
 
     values: np.ndarray
-    support: Support
+    bounds: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("moment sequence must be a non-empty 1-D array")
+        if self.bounds is not None:
+            a, b = self.bounds
+            if not -math.inf < a < b < math.inf:
+                raise ValueError(f"interval support needs finite bounds a < b, got {self.bounds}")
+            self.bounds = (float(a), float(b))
 
     @property
     def order(self) -> int:
@@ -157,7 +139,7 @@ def condition_line(a_mu: PowerMoments) -> PowerMoments:
     (a pure point mass at the origin needs exactly that last term).
 
     The phase of a positive measure lives on the half line and is bounded by
-    one, so the output support tag is half_line.
+    one, so the output has no bounds.
     """
     values = np.asarray(a_mu.values, dtype=float)
     if values[0] <= 0:
@@ -165,7 +147,7 @@ def condition_line(a_mu: PowerMoments) -> PowerMoments:
     b = FormalSeries.constant(1, values.size, 1.0)
     b.coeff[1:] = -values
     # a real series has a real logarithm, so .real drops only zeros
-    return PowerMoments(-_finite_log(b).coeff[1:].real, Support.half_line())
+    return PowerMoments(-_finite_log(b).coeff[1:].real)
 
 
 def condition_circle(tau_mu: TrigMoments) -> TrigMoments:
@@ -326,7 +308,7 @@ def extend_exp_weight(sigma, seed: PowerMoments, count: int) -> PowerMoments:
         for i in range(1, n):
             acc += i * sigma[i] * out[k + i]
         out[k + n] = -acc / (n * sigma[n])
-    return PowerMoments(out, seed.support)
+    return PowerMoments(out, seed.bounds)
 
 
 # ----------------------------------------------------------------------------
@@ -337,9 +319,7 @@ def extend_exp_weight(sigma, seed: PowerMoments, count: int) -> PowerMoments:
 def moments_to_json(m) -> dict:
     """Serialize any of the three moment containers to the moment-file schema."""
     if isinstance(m, PowerMoments):
-        support = (
-            "half_line" if m.support.kind == "half_line" else list(m.support.bounds)
-        )
+        support = "half_line" if m.bounds is None else list(m.bounds)
         return {"kind": "power", "support": support, "values": m.values.tolist()}
     if isinstance(m, TrigMoments):
         return {
@@ -372,13 +352,13 @@ def moments_from_json(payload: dict):
     if kind == "power":
         support = payload.get("support", "half_line")
         if support == "half_line":
-            sup = Support.half_line()
+            bounds = None
         elif isinstance(support, list) and len(support) == 2:
-            sup = Support.interval(float(support[0]), float(support[1]))
+            bounds = (float(support[0]), float(support[1]))
         else:
             raise ValueError(f'support must be "half_line" or [a, b], got {support!r}')
         _check_size(1, len(payload["values"]) - 1)
-        moments = PowerMoments(np.asarray(payload["values"], dtype=float), sup)
+        moments = PowerMoments(np.asarray(payload["values"], dtype=float), bounds)
     elif kind == "trig":
         raw = payload["values"]
         _check_size(1, len(raw) - 1)

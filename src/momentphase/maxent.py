@@ -2,11 +2,12 @@
 
 The density is an exponential family p_j = exp[(A^T alpha)_j - 1] on a fixed
 quadrature; moments are matrix products against the weighted density.  The
-problem is first preconditioned so that basis values sit in (0, 1) and
-targets are positive; damped Newton steps on the convex dual then solve it
-within a budget of steps.  A solve converges only when the moment residual
-is below tolerance on the quadrature and on a rule with one more node, so a
-spike on quadrature nodes never passes for a density.  Every solve names
+rows are first remapped affinely into (0, 1), and targets that no density
+on the quadrature can reach are refused; damped Newton steps on the convex
+dual then solve the problem within a budget of steps.  A solve converges
+only when the moment residual is below tolerance on the quadrature and on a
+rule with one more node, so a spike on quadrature nodes never passes for a
+density.  Every solve names
 why it stopped.  Non-convergence is a meaningful outcome, not an error:
 moment sequences of singular measures admit no exponential-family density,
 the dual then has no minimiser, and Newton stops on them within a few
@@ -23,11 +24,11 @@ import numpy as np
 __all__ = [
     "Quadrature",
     "BasisMatrix",
-    "PreconditionMeta",
     "DualSolution",
     "build_quadrature",
     "monomial_basis",
     "legendre_basis",
+    "legendre_coefficients",
     "trig_basis",
     "precondition",
     "primal_eval",
@@ -96,16 +97,12 @@ class BasisMatrix:
     Row 0 is always the constant function carrying the mass constraint.
     `order` is the polynomial degree or the highest trigonometric mode; the
     rows themselves come from `rows_at`, at the quadrature nodes for
-    `values` and at any points for sampling the density.  For the Legendre
-    basis, `coeff_rows[i]` gives T_i in the monomial frame; it maps power
-    moments to targets and gives the monomial view of a dual, but rows are
-    never evaluated through it.
+    `values` and at any points for sampling the density.
     """
 
     kind: str  # "monomial" | "legendre" | "trigonometric"
     quadrature: Quadrature
     order: int
-    coeff_rows: np.ndarray | None = field(default=None, repr=False)
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -148,19 +145,29 @@ def legendre_basis(quad: Quadrature, order: int) -> BasisMatrix:
     Spans the same space as the monomials, so the maximum-entropy density is
     unchanged, but the near-orthogonal rows keep the dual well conditioned
     on moment problems that are hopeless in the raw monomial frame.  The
-    rows are evaluated by recurrence (`rows_at`); `coeff_rows` converts row
-    i to monomial coefficients, which maps power moments to Legendre
-    targets and gives `monomial_dual`.
+    rows are evaluated by recurrence (`rows_at`); `legendre_coefficients`
+    gives them in the monomial frame.
     """
-    a, b = quad.interval
-    coeff_rows = np.zeros((order + 1, order + 1))
+    return BasisMatrix("legendre", quad, order)
+
+
+def legendre_coefficients(order: int, interval: tuple[float, float]) -> np.ndarray:
+    """Row i holds the monomial coefficients of the shifted Legendre
+    polynomial T_i on `interval`.
+
+    Maps power moments to Legendre targets (C @ mu) and a Legendre dual to
+    its monomial view (C^T @ alpha).  The composition is floating point, so
+    targets inherit its rounding, which grows with the order.
+    """
+    a, b = interval
+    rows = np.zeros((order + 1, order + 1))
     affine = np.polynomial.Polynomial([-(b + a) / (b - a), 2.0 / (b - a)])
     for i in range(order + 1):
         leg = np.zeros(i + 1)
         leg[i] = 1.0
         poly = np.polynomial.Polynomial(np.polynomial.legendre.leg2poly(leg))(affine)
-        coeff_rows[i, : poly.coef.size] = poly.coef
-    return BasisMatrix("legendre", quad, order, coeff_rows=coeff_rows)
+        rows[i, : poly.coef.size] = poly.coef
+    return rows
 
 
 def trig_basis(quad: Quadrature, max_mode: int) -> BasisMatrix:
@@ -175,39 +182,31 @@ def circle_quadrature(count: int) -> Quadrature:
     return Quadrature(nodes, weights, (-np.pi, np.pi))
 
 
-@dataclass
-class PreconditionMeta:
-    """Offsets, scales and factors of the affine row conditioning."""
-
-    offsets: np.ndarray  # u_i
-    scales: np.ndarray  # M_i
-    factors: np.ndarray  # t_i
-    delta: float
-
-
 def precondition(
     a: np.ndarray, mu: np.ndarray, delta: float = 1.0
-) -> tuple[np.ndarray, np.ndarray, PreconditionMeta]:
-    """Affine remap of rows into (0, 1) and of targets to positive values.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Affine remap of rows into (0, 1): returns (a', mu', t, u).
 
     u_i = -min_j a_ij + delta,  M_i = max_j (u_i + a_ij),  t_i = 1/(M_i+delta),
     a'_ij = t_i (u_i + a_ij),   mu'_i = t_i (u_i + mu_i).
 
-    Afterwards a'_ij lies in (0, 1) and mu'_i > 0 provided mu_i > -u_i, which
-    holds whenever mu is normalized so that the mass entry is one and the
-    remaining entries are means of basis functions.  A density solving the
-    conditioned problem solves the original one: the remap is affine and the
-    constant row absorbs the offsets.  Newton's method is affine-invariant
-    only in exact arithmetic: on the raw Legendre rows, some atoms on an
-    interval support whose solves stop unconverged here instead pass both
-    residual rules with a spike between the nodes.
+    A density solving the conditioned problem solves the original one: the
+    remap is affine, the constant row absorbs the offsets, and t and u
+    unwind a dual of the remapped rows.  Newton needs neither positive
+    rows nor positive targets.  With mu normalized so that the mass entry
+    is one, the other entries are means of basis functions, so mu'_i <= 0
+    puts target i delta or more below every value row i takes on the
+    quadrature, where no density matches it; such targets are refused.
+    Newton's method is affine-invariant only in exact arithmetic: on the
+    raw Legendre rows, some atoms on an interval support whose solves stop
+    unconverged here instead pass both residual rules with a spike between
+    the nodes.
     """
     a = np.asarray(a, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    spread = a.max(axis=1) - a.min(axis=1)
-    if np.any((spread == 0) & (a.max(axis=1) == 0)):
+    if not np.all(a.any(axis=1)):
         raise ValueError("a basis row is identically zero")
     u = -a.min(axis=1) + delta
     m = (a + u[:, None]).max(axis=1)
@@ -216,7 +215,7 @@ def precondition(
     mu_prime = t * (u + mu)
     if np.any(mu_prime <= 0):
         raise ValueError("targets lie outside the range the basis rows take on the quadrature")
-    return a_prime, mu_prime, PreconditionMeta(u, m, t, float(delta))
+    return a_prime, mu_prime, t, u
 
 
 @dataclass
@@ -231,15 +230,18 @@ class DualSolution:
     """
 
     alpha: np.ndarray
-    converged: bool
     iterations: int
     residual_norm: float
     basis: BasisMatrix
     stop_reason: str
 
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
     def report(self) -> dict:
         return {
-            "converged": bool(self.converged),
+            "converged": self.converged,
             "stop_reason": self.stop_reason,
             "iterations": int(self.iterations),
             "residual_norm": float(self.residual_norm),
@@ -292,8 +294,7 @@ def _check_residual(alpha: np.ndarray, basis: BasisMatrix, mu: np.ndarray) -> fl
         check = circle_quadrature(count)
     else:
         check = build_quadrature(quad.interval[0], quad.interval[1], count)
-    check_basis = BasisMatrix(basis.kind, check, basis.order, basis.coeff_rows)
-    return constraint_residual(alpha, check_basis, mu)[1]
+    return constraint_residual(alpha, BasisMatrix(basis.kind, check, basis.order), mu)[1]
 
 
 def fime_solve(
@@ -338,7 +339,7 @@ def fime_solve(
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     mu0 = mu[0]
-    a_prime, mu_prime, meta = precondition(basis.values, mu / mu0, delta)
+    a_prime, mu_prime, factors, offsets = precondition(basis.values, mu / mu0, delta)
     weights = basis.quadrature.weights
 
     alpha = np.zeros(mu_prime.size)
@@ -349,8 +350,8 @@ def fime_solve(
         # unwind the affine preconditioning and the mass normalization:
         # (A'^T a)_j = sum_i t_i a_i a_ij + sum_i t_i u_i a_i, and scaling
         # the density by mu0 shifts the constant-row dual by log(mu0)
-        native = meta.factors * alpha
-        native[0] += float(np.sum(alpha * meta.factors * meta.offsets)) + np.log(mu0)
+        native = factors * alpha
+        native[0] += float(np.sum(alpha * factors * offsets)) + np.log(mu0)
         _, res_norm = constraint_residual(native, basis, mu)
         if res_norm < tol and _check_residual(native, basis, mu) < tol:
             reason = "converged"
@@ -389,7 +390,7 @@ def fime_solve(
         steps += 1
     if reason != "converged" and res_norm < tol:
         reason = "check_rule"
-    return DualSolution(native, reason == "converged", steps, res_norm, basis, reason)
+    return DualSolution(native, steps, res_norm, basis, reason)
 
 
 def solve_power_moments(
@@ -403,9 +404,11 @@ def solve_power_moments(
     """Maxent density on an interval matching power moments mu_0..mu_N.
 
     The solve runs in the shifted-Legendre frame: the targets are
-    transformed exactly (mu_leg = C mu), the density is unchanged, and the
-    near-orthogonal rows keep the Newton systems far better conditioned
-    than raw monomial rows.  The returned solution lives in that frame
+    mu_leg = C mu with C from `legendre_coefficients`, the density is
+    unchanged, and the near-orthogonal rows keep the Newton systems far
+    better conditioned than raw monomial rows.  C mu is computed in floating
+    point, and its rounding grows geometrically with the order (ROADMAP
+    item 2 proposes exact targets).  The returned solution lives in that frame
     (alpha, basis, residual all consistent); use `monomial_dual` for the polynomial
     coefficients of log density + 1, and `constraint_residual` against a
     `monomial_basis` to measure the mismatch on the original moment scale.
@@ -414,7 +417,7 @@ def solve_power_moments(
     order = mu.size - 1
     quad = build_quadrature(interval[0], interval[1], node_count)
     basis = legendre_basis(quad, order)
-    mu_leg = basis.coeff_rows @ mu
+    mu_leg = legendre_coefficients(order, quad.interval) @ mu
     return fime_solve(basis, mu_leg, tol=tol, max_sweeps=max_sweeps, delta=delta)
 
 
@@ -423,7 +426,8 @@ def monomial_dual(solution: DualSolution) -> np.ndarray:
     if solution.basis.kind == "monomial":
         return solution.alpha.copy()
     if solution.basis.kind == "legendre":
-        return solution.basis.coeff_rows.T @ solution.alpha
+        basis = solution.basis
+        return legendre_coefficients(basis.order, basis.quadrature.interval).T @ solution.alpha
     raise ValueError("no monomial view of a trigonometric dual")
 
 

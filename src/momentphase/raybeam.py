@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioning import MultiMoments, PowerMoments, Support, _multinomial, condition_line
+from .conditioning import MultiMoments, PowerMoments, _multinomial, condition_line
 from .maxent import DualSolution, density_on, solve_power_moments
-from .transform import GridFunction, cauchy_boundary_avg, hilbert_line
+from .transform import GridFunction, cauchy_boundary_avg, clip_phase, hilbert_line
 
 __all__ = [
     "RayDirection",
@@ -58,17 +58,23 @@ class RaySlice:
     direction: RayDirection
     pushforward: np.ndarray  # m_0..m_n of the projected measure
     phase_moments: np.ndarray  # c_0..c_n of the bounded phase
-    cutoff: float  # phase support truncated to [0, cutoff]
     phase_grid: GridFunction  # phase profile on the slice window
     radon_values: GridFunction  # hyperplane-integral slice on the same window
     solution: DualSolution
+    max_violation: float  # worst excursion of the sampled phase out of [0, 1]
+
+    @property
+    def cutoff(self) -> float:
+        """The phase support is truncated to [0, cutoff], the solve's window."""
+        return self.solution.basis.quadrature.interval[1]
 
     def summary(self) -> dict:
         return {
             "direction": list(self.direction.components),
             "pushforward_moments": [float(v) for v in self.pushforward],
             "phase_moments": [float(v) for v in self.phase_moments],
-            "cutoff": float(self.cutoff),
+            "cutoff": self.cutoff,
+            "phase_clamp": {"max_violation": self.max_violation},
             "solver": self.solution.report(),
         }
 
@@ -98,7 +104,7 @@ def ray_phase_moments(m: np.ndarray) -> np.ndarray:
     particular c_0 = m_0: the zeroth phase moment is the total mass, for
     every direction.
     """
-    return condition_line(PowerMoments(m, Support.half_line())).values
+    return condition_line(PowerMoments(m)).values
 
 
 def support_cutoff(c: np.ndarray, span: float = 1.0) -> float:
@@ -136,7 +142,9 @@ def reconstruct_ray(
     `support_cutoff`, then sampled onto a wide uniform window (default
     [-2T, 6T]) where the slice is evaluated; the window must comfortably
     exceed the phase support because the boundary-average trace decays only
-    like 1/t and feeds a second Hilbert transform.
+    like 1/t and feeds a second Hilbert transform.  The sampled phase is
+    clipped to [0, 1] and the slice records how far it overshot; unlike the
+    line pipeline, no overshoot stops a ray.
     """
     m = pushforward_moments(gamma, y)
     c = ray_phase_moments(m)
@@ -155,10 +163,10 @@ def reconstruct_ray(
     x = grid.grid
     inside = (x >= 0.0) & (x <= cutoff)
     xi = np.zeros(grid_size)
-    xi[inside] = np.clip(density_on(sol, x[inside]), 0.0, 1.0)
+    xi[inside], worst = clip_phase(density_on(sol, x[inside]), 1.0)
     phase = grid.with_values(xi)
     slice_ = radon_slice(phase)
-    return RaySlice(y, m, c, cutoff, phase, slice_, sol)
+    return RaySlice(y, m, c, phase, slice_, sol, worst)
 
 
 def radon_slice(xi_star: GridFunction) -> GridFunction:

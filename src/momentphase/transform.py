@@ -26,6 +26,7 @@ __all__ = [
     "GridFunction",
     "PLEMELJ_EXP_SIGN",
     "PhaseRangeError",
+    "clip_phase",
     "hilbert_line",
     "hilbert_circle",
     "invert_line",
@@ -51,6 +52,18 @@ LINE_FFT_FACTOR = 4
 
 class PhaseRangeError(ValueError):
     """Phase samples fall outside their admissible range."""
+
+
+def clip_phase(values: np.ndarray, hi: float) -> tuple[np.ndarray, float]:
+    """Phase samples clipped to [0, hi], and how far the worst one was out.
+
+    The smooth exponential family rings around the steps of a jumpy phase,
+    so a solved profile leaves the admissible range between quadrature
+    nodes; the violation is 0.0 when every sample is in range, or when
+    there is none.
+    """
+    clipped = np.clip(values, 0.0, hi)
+    return clipped, float(np.max(np.abs(values - clipped), initial=0.0))
 
 
 @dataclass

@@ -12,7 +12,6 @@ import numpy as np
 from momentphase.conditioning import (
     MultiMoments,
     PowerMoments,
-    Support,
     TrigMoments,
     condition_circle,
     condition_line,
@@ -50,7 +49,7 @@ def conclude(number: int, ok: bool, detail: str) -> None:
 def test_criterion_01_dirac_line_conditioning():
     t0 = time.perf_counter()
     c, n = 2.0, 24
-    gamma = PowerMoments(np.array([c] + [0.0] * n), Support.half_line())
+    gamma = PowerMoments(np.array([c] + [0.0] * n))
     phi = condition_line(gamma)
     expected = np.array([c ** (k + 1) / (k + 1) for k in range(n + 1)])
     rel = float(np.max(np.abs(phi.values / expected - 1.0)))
@@ -150,7 +149,7 @@ def test_criterion_06_negative_control():
     direct = solve_power_moments(
         raw, (0.0, 1.0), node_count=201, tol=1e-8, max_sweeps=100_000, delta=1.0
     )
-    conditioned = condition_line(PowerMoments(raw, Support.half_line()))
+    conditioned = condition_line(PowerMoments(raw))
     cutoff = support_cutoff(conditioned.values, span=1.0)
     regular = solve_power_moments(
         conditioned.values,
@@ -172,7 +171,7 @@ def test_criterion_06_negative_control():
 def test_criterion_07_exponential_weight_recurrence():
     import math
 
-    seed = PowerMoments(np.array([1.0]), Support.half_line())
+    seed = PowerMoments(np.array([1.0]))
     out = extend_exp_weight([0.0, -1.0], seed, 12)
     expected = np.array([float(math.factorial(k)) for k in range(13)])
     rel = float(np.max(np.abs(out.values / expected - 1.0)))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from momentphase.cli import DEFAULTS, EXIT_NOCONV, EXIT_OK, EXIT_PARSE, EXIT_RANGE, main
 from momentphase.series import FormalSeries, series_exp
+from momentphase.transform import read_csv
 
 NAN, INF = float("nan"), float("inf")
 
@@ -67,6 +68,11 @@ def test_line_pipeline_dirac(tmp_path):
     assert (out / "phase.csv").exists()
     assert report["provenance"]["sign_oracle_residual"] < 1e-6
     assert report["feasibility"] == "boundary"
+    # the smooth family overshoots the indicator phase near its step; the
+    # samples are clipped to [0, 1] and the overshoot is reported
+    assert 0 < report["phase_clamp"]["max_violation"] < 0.5
+    phase = read_csv(out / "phase.csv").values
+    assert phase.min() >= 0.0 and phase.max() == 1.0
 
 
 def test_conditioned_dirac_converges_in_few_steps(tmp_path):
@@ -102,8 +108,6 @@ OFF_ORIGIN_ATOMS = [(0.5, 1.0, 11), (0.4, 2.0, 9)] + [
 def test_conditioned_atoms_off_origin_recover_their_phase(tmp_path, mass, at, count):
     # the phase of mass m at x is the indicator of [x, x + m], so the
     # solver's window sits away from the origin
-    from momentphase.transform import read_csv
-
     path = write_json(
         tmp_path / "atom.json",
         {"kind": "power", "support": "half_line",
@@ -345,7 +349,6 @@ def test_beta_jump_line_pipeline_recovers_density(tmp_path):
         ]
     )
     assert code == EXIT_OK
-    from momentphase.transform import read_csv
 
     rho = read_csv(out / "density.csv")
     x = rho.grid
@@ -355,6 +358,23 @@ def test_beta_jump_line_pipeline_recovers_density(tmp_path):
     assert l1 < 0.05
     report = json.loads((out / "report.json").read_text())
     assert report["mass"]["recovered"] == pytest.approx(0.5, rel=0.02)
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.3])
+def test_low_beta_jump_on_an_interval_inverts_to_its_density(tmp_path, beta):
+    # phase beta on the whole support [0, 1]: ROADMAP item 4's moment
+    # window would cut it short, the given bounds hold it exactly
+    out = tmp_path / "out"
+    path = beta_jump_file(tmp_path, beta=beta, order=8)
+    assert main([path, "--pipeline", "line", "-o", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["solver"]["iterations"] < 10
+    rho = read_csv(out / "density.csv")
+    x = rho.grid
+    exact = ((1 - x) / x) ** beta * np.sin(np.pi * beta) / np.pi
+    inner = (x > 0.05) & (x < 0.95)
+    l1 = np.sum(np.abs(rho.values - exact)[inner]) / np.sum(exact[inner])
+    assert l1 < 1e-4
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -373,7 +393,6 @@ def test_circle_pipeline_point_mass(tmp_path):
         [path, "--pipeline", "circle", "--grid", "1024", "--tol", "1e-8", "-o", str(out)]
     )
     assert code == EXIT_OK
-    from momentphase.transform import read_csv
 
     rho = read_csv(out / "density.csv")
     assert rho.kind == "circle"
@@ -434,6 +453,34 @@ def test_raybeam_pipeline_writes_slices(tmp_path):
         assert (out / f"phase_{i:03d}.csv").exists()
         assert (out / f"slice_{i:03d}.csv").exists()
     assert report["rays"][0]["phase_moments"][0] == pytest.approx(1.0)
+
+
+def test_ray_phase_overshoot_is_clipped_and_reported(tmp_path):
+    # one atom at order 8: the solved density is at most 1.2 on the solver
+    # nodes but reaches 6.27 near x = 0.136 on the output grid.  A ray
+    # clips its phase to [0, 1] with no margin, so the run exits 0, and its
+    # summary says how far the phase was out of range.
+    mass, atom = 0.16130608574602934, (0.7108798632659449, 0.4603553288673248)
+    values = [
+        [[i, j], mass * atom[0] ** i * atom[1] ** j]
+        for i in range(9)
+        for j in range(9 - i)
+    ]
+    path = write_json(
+        tmp_path / "atom.json",
+        {"kind": "multi", "dimension": 2, "order": 8, "values": values},
+    )
+    dirs = write_json(tmp_path / "dirs.json", [[0.6902485453996046, 0.7235723499234405]])
+    out = tmp_path / "out"
+    code = main(
+        [path, "--pipeline", "raybeam", "--directions", dirs, "--grid", "4096", "-o", str(out)]
+    )
+    assert code == EXIT_OK
+    (ray,) = json.loads((out / "report.json").read_text())["rays"]
+    assert ray["solver"]["converged"] is True
+    assert ray["phase_clamp"]["max_violation"] == pytest.approx(5.27, abs=0.01)
+    phase = read_csv(out / "phase_000.csv").values
+    assert phase.min() >= 0.0 and phase.max() == 1.0
 
 
 def test_raybeam_requires_directions(tmp_path):

@@ -9,7 +9,6 @@ from momentphase.conditioning import (
     Feasibility,
     MultiMoments,
     PowerMoments,
-    Support,
     TrigMoments,
     condition_circle,
     condition_line,
@@ -26,7 +25,7 @@ from momentphase.series import FormalSeries, series_exp
 
 
 def half_line(values) -> PowerMoments:
-    return PowerMoments(np.asarray(values, dtype=float), Support.half_line())
+    return PowerMoments(np.asarray(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +41,7 @@ def test_line_point_mass_at_origin():
     phi = condition_line(gamma)
     expected = np.array([c ** (k + 1) / (k + 1) for k in range(n + 1)])
     assert np.max(np.abs(phi.values / expected - 1.0)) < 1e-12
-    assert phi.support.kind == "half_line"
+    assert phi.bounds is None
 
 
 def test_line_vanishing_measure_gives_vanishing_phase():
@@ -333,7 +332,7 @@ def test_max_extension_two_uniform_moments():
 
 def test_max_extension_rejects_unconverged_dual():
     sol = solve_on_unit_interval([1.0, 0.5])
-    sol.converged = False
+    sol.stop_reason = "max_iter"
     with pytest.raises(ValueError):
         max_extension(half_line([1.0, 0.5]), sol)
 
@@ -395,11 +394,12 @@ def test_exp_weight_rejects_zero_leading_term():
 
 
 def test_power_json_round_trip():
-    m = PowerMoments(np.array([1.0, 0.5]), Support.interval(0.0, 1.0))
-    back = moments_from_json(moments_to_json(m))
-    assert isinstance(back, PowerMoments)
-    assert np.array_equal(back.values, m.values)
-    assert back.support == m.support
+    for bounds in ((0.0, 1.0), None):
+        m = PowerMoments(np.array([1.0, 0.5]), bounds)
+        back = moments_from_json(moments_to_json(m))
+        assert isinstance(back, PowerMoments)
+        assert np.array_equal(back.values, m.values)
+        assert back.bounds == m.bounds
 
 
 def test_trig_json_round_trip():
@@ -421,7 +421,7 @@ def test_multi_json_round_trip():
 )
 def test_interval_support_needs_finite_ordered_bounds(bounds):
     with pytest.raises(ValueError, match="finite bounds"):
-        Support.interval(*bounds)
+        PowerMoments(np.array([1.0]), bounds)
 
 
 def test_json_rejects_garbage():

@@ -1,4 +1,4 @@
-"""Entropy-optimization solver: quadrature, preconditioning, dual ascent."""
+"""Entropy-optimization solver: quadrature, preconditioning, damped Newton descent."""
 
 import math
 import warnings
@@ -14,6 +14,7 @@ from momentphase.maxent import (
     density_on,
     fime_solve,
     legendre_basis,
+    legendre_coefficients,
     monomial_basis,
     monomial_dual,
     precondition,
@@ -60,10 +61,9 @@ def test_quadrature_rejects_tiny_count():
 def test_precondition_printed_single_row():
     a = np.array([[-1.0, 1.0]])
     mu = np.array([1.0])
-    a_p, mu_p, meta = precondition(a, mu, delta=1.0)
-    assert meta.offsets[0] == 2.0
-    assert meta.scales[0] == 3.0
-    assert meta.factors[0] == pytest.approx(0.25)
+    a_p, mu_p, factors, offsets = precondition(a, mu, delta=1.0)
+    assert offsets[0] == 2.0
+    assert factors[0] == pytest.approx(0.25)
     assert np.allclose(a_p, [[0.25, 0.75]])
     assert mu_p[0] == pytest.approx(0.25 * 3.0)
 
@@ -74,7 +74,7 @@ def test_precondition_maps_into_unit_interval():
     mu = rng.uniform(-1, 1, size=6)
     mu[0] = 1.0
     a[0] = 1.0
-    a_p, mu_p, _ = precondition(a, mu, delta=0.5)
+    a_p, mu_p, _, _ = precondition(a, mu, delta=0.5)
     assert a_p.min() > 0.0 and a_p.max() < 1.0
     assert mu_p.min() > 0.0
 
@@ -86,6 +86,14 @@ def test_precondition_rejects_zero_row():
         precondition(a, np.array([1.0, 0.0]))
 
 
+def test_precondition_refuses_targets_out_of_reach():
+    # row 1 takes values in [0, 1] on the nodes: a mean of -2 lies delta or
+    # more below all of them, and no density on the nodes matches it
+    a = np.array([[1.0, 1.0, 1.0], [0.0, 0.5, 1.0]])
+    with pytest.raises(ValueError, match="outside the range"):
+        precondition(a, np.array([1.0, -2.0]), delta=1.0)
+
+
 def test_preconditioned_problem_same_solution():
     # a density whose conditioned moments match mu' also matches mu:
     # build p from a dual, compute both residuals
@@ -94,7 +102,7 @@ def test_preconditioned_problem_same_solution():
     mu = np.array([1.0, 0.5, 1 / 3])
     sol = fime_solve(basis, mu, tol=1e-11, max_sweeps=100_000, delta=0.5)
     assert sol.converged
-    a_p, mu_p, _ = precondition(basis.values, mu, delta=0.5)
+    a_p, mu_p, _, _ = precondition(basis.values, mu, delta=0.5)
     ptilde, _, _ = primal_eval(sol.alpha, basis)
     assert np.linalg.norm(a_p @ ptilde - mu_p) < 1e-10
 
@@ -186,7 +194,7 @@ def test_runaway_dual_stops_short_of_the_clamp():
 
 def test_reported_residual_is_that_of_returned_dual():
     basis = legendre_basis(build_quadrature(0.0, 1.0, 101), 4)
-    mu = basis.coeff_rows @ UNIFORM_MU
+    mu = legendre_coefficients(4, (0.0, 1.0)) @ UNIFORM_MU
     for budget in (7, 5_000):
         sol = fime_solve(basis, mu, tol=1e-12, max_sweeps=budget)
         assert sol.residual_norm == constraint_residual(sol.alpha, basis, mu)[1]
@@ -195,7 +203,7 @@ def test_reported_residual_is_that_of_returned_dual():
 def test_spent_budget_stops_on_max_iter():
     # the uniform problem converges in 6 Newton steps; 2 are not enough
     basis = legendre_basis(build_quadrature(0.0, 1.0, 101), 4)
-    mu = basis.coeff_rows @ UNIFORM_MU
+    mu = legendre_coefficients(4, (0.0, 1.0)) @ UNIFORM_MU
     sol = fime_solve(basis, mu, tol=1e-12, max_sweeps=2)
     assert (sol.converged, sol.stop_reason, sol.iterations) == (False, "max_iter", 2)
     assert fime_solve(basis, mu, tol=1e-12, max_sweeps=6).stop_reason == "converged"
@@ -293,50 +301,38 @@ def test_residual_at_constructed_fixed_point():
     assert norm == 0.0
 
 
-def test_residual_nonincreasing_on_uniform_sweeps():
-    # empirical contraction along the first hundred sweeps
+def exp_weight_moments(rate: float, order: int) -> np.ndarray:
+    """Moments of exp(-rate x) on [0, 1]: rate I_k = k I_(k-1) - exp(-rate)."""
+    moments = [(1.0 - math.exp(-rate)) / rate]
+    for k in range(1, order + 1):
+        moments.append((k * moments[-1] - math.exp(-rate)) / rate)
+    return np.array(moments)
+
+
+@pytest.mark.parametrize(
+    "power_moments, steps",
+    [(UNIFORM_MU, 6), (exp_weight_moments(10.0, 4), 11)],
+    ids=["uniform", "exp_weight"],
+)
+def test_newton_never_increases_the_dual(power_moments, steps):
+    # D(alpha) = sum w exp(A^T alpha - 1) - alpha . mu is mu0 times the
+    # preconditioned dual plus a constant, so the Armijo condition makes the
+    # accepted step of every budget lower D.  On the uniform problem full
+    # steps already descend (D falls 0.33, 0.023, 2e-4, 1.9e-8, then to
+    # rounding); on exp(-10 x) the full first step would raise D to 4e6.
     q = build_quadrature(0.0, 1.0, 201)
     basis = legendre_basis(q, 4)
-    mu = basis.coeff_rows @ UNIFORM_MU
-    a_p, mu_p, meta = precondition(basis.values, mu, delta=1.0)
-    alpha = np.zeros(5)
-    s = a_p.T @ alpha
-    norms = []
-    for _ in range(100):
-        for i in range(5):
-            ptilde = q.weights * np.exp(s - 1.0)
-            lam = math.log(mu_p[i] / (a_p[i] @ ptilde))
-            alpha[i] += lam
-            s += lam * a_p[i]
-        ptilde = q.weights * np.exp(s - 1.0)
-        norms.append(np.linalg.norm(basis.values @ ptilde - mu))
-    norms = np.array(norms)
-    assert np.all(norms[1:] <= norms[:-1] * (1 + 1e-9))
+    mu = legendre_coefficients(4, q.interval) @ power_moments
 
+    def dual(alpha):
+        return float(q.weights @ np.exp(basis.values.T @ alpha - 1.0) - alpha @ mu)
 
-def test_dual_objective_nonincreasing_across_updates():
-    # the coordinate updates descend the dual objective 1.p - mu.alpha
-    q = build_quadrature(0.0, 1.0, 201)
-    basis = legendre_basis(q, 4)
-    mu = basis.coeff_rows @ UNIFORM_MU
-    a_p, mu_p, meta = precondition(basis.values, mu, delta=1.0)
-    alpha = np.zeros(5)
-    s = a_p.T @ alpha
-
-    def objective():
-        ptilde = q.weights * np.exp(s - 1.0)
-        return float(np.sum(ptilde) - mu_p @ alpha)
-
-    values = [objective()]
-    for k in range(200):
-        i = k % 5
-        ptilde = q.weights * np.exp(s - 1.0)
-        lam = math.log(mu_p[i] / (a_p[i] @ ptilde))
-        alpha[i] += lam
-        s += lam * a_p[i]
-        values.append(objective())
-    diffs = np.diff(values)
-    assert np.all(diffs <= 1e-12)
+    values = [dual(np.zeros(5))]
+    for budget in range(1, steps + 1):
+        sol = fime_solve(basis, mu, tol=1e-12, max_sweeps=budget)
+        values.append(dual(sol.alpha))
+    assert np.all(np.diff(values) <= 1e-15)
+    assert sol.converged and sol.iterations == steps
 
 
 def test_recovered_moments_match_independent_quadrature():

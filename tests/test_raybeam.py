@@ -232,5 +232,19 @@ def test_summary_is_json_friendly():
     )
     payload = rs.summary()
     text = json.dumps(payload, sort_keys=True)
-    assert "direction" in payload and "cutoff" in payload
+    assert "direction" in payload and "cutoff" in payload and "phase_clamp" in payload
+    assert payload["cutoff"] == support_cutoff(rs.phase_moments)
     assert json.loads(text)["solver"]["iterations"] == rs.solution.iterations
+
+
+def test_window_beside_the_phase_samples_no_phase():
+    # a sampling window that misses [0, cutoff] holds no phase sample, so
+    # nothing is clipped
+    gamma = atom_moments([[0.5, 0.5]], [1.0], 6)
+    rs = reconstruct_ray(
+        gamma, RayDirection.of([1.0, 1.0]), window=(10.0, 20.0), grid_size=256,
+        node_count=201, tol=1e-6, max_sweeps=100_000, delta=0.1,
+    )
+    assert rs.solution.converged
+    assert not rs.phase_grid.values.any()
+    assert rs.max_violation == 0.0

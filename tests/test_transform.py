@@ -8,6 +8,7 @@ from momentphase.transform import (
     GridFunction,
     PhaseRangeError,
     cauchy_boundary_avg,
+    clip_phase,
     hilbert_circle,
     hilbert_line,
     invert_circle,
@@ -429,3 +430,11 @@ def test_read_csv_rejects_malformed_rows(tmp_path, row, fields):
     path.write_text(f"interval,0.0,1.0,2\nx,value\n0.25,1.0\n{row}\n", encoding="ascii")
     with pytest.raises(ValueError, match=f"line 4: expected 2 fields .*found {fields}"):
         read_csv(path)
+
+
+def test_clip_phase_reports_the_worst_excursion():
+    clipped, worst = clip_phase(np.array([-0.2, 0.5, 1.3]), 1.0)
+    assert np.array_equal(clipped, [0.0, 0.5, 1.0])
+    assert worst == pytest.approx(0.3)
+    assert clip_phase(np.array([0.0, 3.0]), np.pi)[1] == 0.0
+    assert clip_phase(np.array([]), 1.0)[1] == 0.0
